@@ -9,12 +9,12 @@
 //! idle keep-alive connection costs *nothing* — it sits in the epoll set
 //! until bytes arrive — which is what flattens the old worker-pool
 //! design's concurrency cliff, where every parked connection taxed the
-//! pool a 10ms idle poll per rotation. Requests the loop can answer
-//! without blocking (warm replays, stats, errors) are served inline;
-//! anything that may block on the store — cold recordings and joins of
-//! in-flight recordings — is handed to a small handler pool
-//! ([`ServerConfig::workers`] threads) and the response is written when
-//! the loop is woken by a self-pipe.
+//! pool a 10ms idle poll per rotation. The loop thread keeps only
+//! transport, HTTP framing and response writes: cheap endpoints (health,
+//! stats, metrics, errors) are answered inline, and every simulate and
+//! replay — warm replays included — is handed to the handler pool
+//! ([`ServerConfig::workers`] threads), so replay work spreads over every
+//! core. The response is written when the loop is woken by a self-pipe.
 //!
 //! # Robustness (see DESIGN.md §7 for the full failure model)
 //!
@@ -22,9 +22,10 @@
 //!   least one byte of it) must finish sending within the request
 //!   deadline ([`crate::Limits::request_deadline`], lowered per request by
 //!   `X-Deadline-Ms`) or it is answered `408` and closed — a slowloris
-//!   peer costs one epoll registration and a timer, never a thread. A
-//!   response write that the peer refuses to drain is killed at a bounded
-//!   write deadline.
+//!   peer costs one epoll registration and a timer, never a thread. A job
+//!   whose deadline lapsed while it waited for a handler thread is
+//!   answered `503 + Retry-After` without running. A response write that
+//!   the peer refuses to drain is killed at a bounded write deadline.
 //! * **Bounded connections.** Past [`ServerConfig::max_queue`] concurrent
 //!   connections, new arrivals are shed at accept with an immediate
 //!   canned `503 + Retry-After`.
@@ -104,10 +105,10 @@ pub struct ServerConfig {
     /// Bind address, e.g. `"127.0.0.1:8080"`; port 0 picks an ephemeral
     /// port (read it back from [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Handler-pool threads for work that may block on the store (cold
-    /// recordings and joins); 0 means
-    /// [`cachetime::sweep::available_jobs`]. All socket I/O and warm
-    /// replays run on the event-loop thread regardless.
+    /// Handler-pool threads; 0 means
+    /// [`cachetime::sweep::available_jobs`]. Every simulate, replay (warm
+    /// or cold), upload and segment transfer runs on this pool; socket I/O,
+    /// framing and the cheap endpoints stay on the event-loop thread.
     pub workers: usize,
     /// Byte budget of the EventTrace store.
     pub store_budget_bytes: usize,
@@ -342,10 +343,11 @@ fn find_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\r\n")
 }
 
-/// A blocking job handed to the handler pool.
+/// A job handed to the handler pool.
 struct Job {
     token: u64,
     req: Request,
+    dispatched_at: Instant,
     deadline: Instant,
 }
 
@@ -532,8 +534,10 @@ pub fn serve_with_app(config: ServerConfig, app: Arc<App>) -> std::io::Result<Se
 /// (no allocation, no handler, bounded write).
 const QUEUE_FULL_RESPONSE: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: 29\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{\"error\":\"connection shed\"}\r\n";
 
-/// A handler-pool thread: pops blocking jobs, runs them panic-isolated,
-/// posts completions, and wakes the loop.
+/// A handler-pool thread: pops jobs, runs them panic-isolated, posts
+/// completions, and wakes the loop. A job whose deadline passed while it
+/// sat in the queue answers `503` without running: its client has given
+/// up on it, and running it would only delay the jobs behind it.
 fn worker_loop(shared: &Shared, app: &App) {
     loop {
         let job = {
@@ -548,18 +552,28 @@ fn worker_loop(shared: &Shared, app: &App) {
                 jobs = shared.jobs_ready.wait(jobs).unwrap();
             }
         };
-        app.stats.in_flight.add(1);
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            app.handle_blocking(&job.req, job.deadline)
-        }))
-        .unwrap_or_else(|_| {
-            // The handler unwound. The store's in-flight guards have
-            // already cleaned up; the pool survives and the client learns
-            // it was the server's fault.
-            app.stats.panics.inc();
-            Response::error(500, "internal panic; worker recovered")
-        });
-        app.stats.in_flight.add(-1);
+        let picked_up = Instant::now();
+        app.stats
+            .queue_wait(&job.req.method, &job.req.path)
+            .record(picked_up.duration_since(job.dispatched_at).as_micros() as u64);
+        let response = if picked_up > job.deadline {
+            app.stats.timeouts.inc();
+            Response::unavailable("deadline exceeded waiting for a handler; retry shortly")
+        } else {
+            app.stats.in_flight.add(1);
+            let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                app.handle_blocking(&job.req, job.deadline)
+            }))
+            .unwrap_or_else(|_| {
+                // The handler unwound. The store's in-flight guards have
+                // already cleaned up; the pool survives and the client
+                // learns it was the server's fault.
+                app.stats.panics.inc();
+                Response::error(500, "internal panic; worker recovered")
+            });
+            app.stats.in_flight.add(-1);
+            response
+        };
         shared.completions.lock().unwrap().push(Completion {
             token: job.token,
             response,
@@ -868,8 +882,9 @@ impl EventLoop {
         }
     }
 
-    /// Routes a freshly parsed request: inline if the app can answer
-    /// without blocking, otherwise off to the handler pool.
+    /// Routes a freshly parsed request: the cheap endpoints inline,
+    /// everything else (simulate, replay, uploads, ...) off to the handler
+    /// pool.
     fn handle_request(&mut self, token: u64, req: Request) {
         let dispatched_at = Instant::now();
         let deadline = self.app.deadline_for(&req);
@@ -881,9 +896,8 @@ impl EventLoop {
             deadline,
         };
         self.app.stats.in_flight.add(1);
-        let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.app.try_handle(&req, deadline)
-        }));
+        let inline =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.app.try_handle(&req)));
         self.app.stats.in_flight.add(-1);
         match inline {
             Err(_) => {
@@ -893,8 +907,8 @@ impl EventLoop {
             }
             Ok(Some(resp)) => self.finish_request(token, &meta, resp),
             Ok(None) => {
-                // Blocking work (a recording, or a join of one): hand it
-                // to the pool and deregister until the completion arrives.
+                // Pool work: hand it over and deregister until the
+                // completion arrives.
                 if let Some(cs) = self.conns.get_mut(&token) {
                     cs.pending = Some(meta);
                 }
@@ -902,6 +916,7 @@ impl EventLoop {
                 self.shared.jobs.lock().unwrap().push_back(Job {
                     token,
                     req,
+                    dispatched_at,
                     deadline,
                 });
                 self.shared.jobs_ready.notify_one();

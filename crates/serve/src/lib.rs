@@ -17,10 +17,12 @@
 //! zero-dependency invariant extends to the server, down to the raw
 //! `epoll` syscalls in [`poll`]. The transport is a readiness-driven
 //! event loop (one thread owns every socket; see [`http`] and DESIGN.md
-//! §9): warm replays and everything else non-blocking are answered inline
-//! by [`App::try_handle`], and only work that may block on the store —
-//! cold recordings and joins of in-flight ones — is handed to a small
-//! handler pool via [`App::handle_blocking`].
+//! §9) that keeps only transport, HTTP framing and response writes. Cheap
+//! endpoints (health, stats, metrics, the segment index, shutdown, routing
+//! errors) are answered inline by [`App::try_handle`]; every simulate,
+//! replay, upload and segment transfer — warm or cold — runs on the
+//! handler pool via [`App::handle_blocking`], so warm replays use every
+//! core.
 //!
 //! # Endpoints
 //!
@@ -69,7 +71,7 @@ use client::{ClientConfig, HttpClient, ShardRing};
 use fault::{DiskFaultAction, FaultPlan};
 use cachetime_trace::import::TraceFormat;
 use stats::{FleetMetrics, IngestMetrics, ServerStats};
-use store::{Fetch, StoreMetrics, TraceStore, TryGet};
+use store::{Fetch, StoreMetrics, TraceStore};
 use upload::UploadStore;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -469,40 +471,33 @@ impl App {
     ///
     /// Equivalent to [`try_handle`](Self::try_handle) followed by
     /// [`handle_blocking`](Self::handle_blocking) on `None` — which is
-    /// exactly how the event loop splits it across threads; in-process
-    /// callers (tests, the bench harness) just call this.
+    /// exactly how the event loop splits it across threads (the loop
+    /// thread, then the handler pool); in-process callers (tests, the
+    /// bench harness) just call this.
     ///
     /// # Panics
     ///
     /// Only via an armed fault plan (the transport's `catch_unwind` turns
     /// that into a `500`); production plans are inert.
     pub fn handle(&self, req: &Request) -> Response {
-        let deadline = self.deadline_for(req);
-        match self.try_handle(req, deadline) {
+        match self.try_handle(req) {
             Some(resp) => resp,
-            None => self.handle_blocking(req, deadline),
+            None => self.handle_blocking(req, self.deadline_for(req)),
         }
     }
 
-    /// The non-blocking half of [`handle`](Self::handle): answers
-    /// everything that cannot block on the store — health, stats, metrics,
-    /// shutdown, routing and parse errors, *warm* simulates and replays —
-    /// and returns `None` for work that might (a cold recording, or a join
-    /// of one already in flight). The event loop runs this inline on the
-    /// loop thread; `None` means "hand the request to the pool".
-    ///
-    /// Counting discipline: the store's `try_get` counts a lookup only on
-    /// a hit, so a request that falls through to
-    /// [`handle_blocking`](Self::handle_blocking) is counted exactly once
-    /// there (miss/coalesced/shed/absent), never double.
+    /// The cheap half of [`handle`](Self::handle), run inline on the
+    /// event-loop thread: answers health, stats, metrics, the segment
+    /// index, shutdown and routing errors (404/405), and returns `None`
+    /// for everything else — simulate, replay, uploads, segment transfers
+    /// and rebalances — meaning "hand the request to the pool". No route
+    /// answered here looks up or replays a trace.
     ///
     /// # Panics
     ///
     /// Only via an armed fault plan — `serve.handle` fires here (once per
     /// request; the blocking half never re-injects it).
-    pub fn try_handle(&self, req: &Request, _deadline: Instant) -> Option<Response> {
-        // The deadline rides along for signature parity with
-        // `handle_blocking`; nothing inline waits, so nothing checks it.
+    pub fn try_handle(&self, req: &Request) -> Option<Response> {
         self.faults.inject("serve.handle");
         Some(match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => Response::ok(json_object([(
@@ -525,17 +520,15 @@ impl App {
                     Err(msg) => Response::error(400, msg),
                 }
             }
-            ("POST", "/v1/simulate") => return self.try_simulate(&req.body),
-            ("POST", "/v1/replay") => return self.try_replay(&req.body),
-            // Parsing and profiling a multi-megabyte upload is CPU-bound:
+            // Replays (warm or cold), recordings, upload parsing, segment
+            // reads and rebalance passes are CPU-, disk- or network-bound:
             // handler-pool work, never the loop thread's.
-            ("POST", "/v1/traces") => return None,
+            ("POST", "/v1/simulate" | "/v1/replay" | "/v1/traces" | "/v1/rebalance") => {
+                return None
+            }
+            ("GET", p) if p.starts_with("/v1/segments/") => return None,
             // The segment key list is an index read — no disk I/O.
             ("GET", "/v1/segments") => self.segment_keys(),
-            // A segment body read and a rebalance pass both touch the
-            // disk (the latter the network too): handler-pool work.
-            ("GET", p) if p.starts_with("/v1/segments/") => return None,
-            ("POST", "/v1/rebalance") => return None,
             ("POST", "/v1/shutdown") => Response {
                 shutdown: true,
                 ..Response::ok(json_object([("status", "shutting down")]))
@@ -545,11 +538,12 @@ impl App {
         })
     }
 
-    /// The blocking half of [`handle`](Self::handle): runs the request to
-    /// completion, waiting on or performing recordings as needed. Only
-    /// ever called after [`try_handle`](Self::try_handle) returned `None`,
-    /// so only simulate/replay can land here; it does not re-inject
-    /// `serve.handle`.
+    /// The pool half of [`handle`](Self::handle): runs the request to
+    /// completion on a handler-pool thread — every simulate and replay
+    /// (warm ones replay here too; cold ones record or join a recording
+    /// first), uploads, segment transfers and rebalances. Only ever called
+    /// after [`try_handle`](Self::try_handle) returned `None`; it does not
+    /// re-inject `serve.handle`.
     pub fn handle_blocking(&self, req: &Request, deadline: Instant) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/v1/simulate") => self.simulate(&req.body, deadline),
@@ -888,99 +882,6 @@ impl App {
         ]))
     }
 
-    /// The warm-path simulate: answered inline iff the pairing's trace is
-    /// resident. Parse and validation errors are also answered inline —
-    /// they never block.
-    fn try_simulate(&self, body: &[u8]) -> Option<Response> {
-        let v = match parse_body(body) {
-            Ok(v) => v,
-            Err(resp) => return Some(resp),
-        };
-        let config = match api::system_config_from_json(v.get("config")) {
-            Ok(c) => c,
-            Err(msg) => return Some(Response::error(400, &msg)),
-        };
-        let selector = match api::trace_selector_from_json(v.get("trace")) {
-            Ok(s) => s,
-            Err(msg) => return Some(Response::error(400, &msg)),
-        };
-        let org = config.organization();
-        let key = match &selector {
-            api::TraceSelector::Catalog(w) => keyed::trace_key(&org, w),
-            api::TraceSelector::Upload(digest) => keyed::upload_trace_key(&org, *digest),
-        };
-        let TryGet::Ready(events) = self.store.try_get(key) else {
-            // An upload that is neither recorded nor resident can never be
-            // recorded by the pool: answer the 404 inline.
-            if let api::TraceSelector::Upload(digest) = selector {
-                if self.uploads.get(digest).is_none() && !self.on_disk(key) {
-                    return Some(Response::error(
-                        404,
-                        "unknown upload digest: not uploaded yet or evicted; POST /v1/traces first",
-                    ));
-                }
-            }
-            return None; // cold or in flight: the pool records/joins
-        };
-        Some(match cachetime::replay(&events, &config) {
-            Ok(result) => Response::ok(json_object([
-                ("key", Json::Str(api::key_hex(key))),
-                ("cached", Json::Bool(true)),
-                ("result", api::sim_result_to_json(&result)),
-            ])),
-            // Unreachable unless two pairings collide on the 64-bit key.
-            Err(e) => Response::error(500, &e.to_string()),
-        })
-    }
-
-    /// The warm-path replay: answered inline iff the key's trace is
-    /// resident. `Absent` also defers to the pool so the store's
-    /// absent-lookup counting happens exactly once, in `replay`.
-    fn try_replay(&self, body: &[u8]) -> Option<Response> {
-        let v = match parse_body(body) {
-            Ok(v) => v,
-            Err(resp) => return Some(resp),
-        };
-        let key = match v.get("key").and_then(Json::as_str) {
-            Some(s) => match api::parse_key_hex(s) {
-                Ok(k) => k,
-                Err(msg) => return Some(Response::error(400, &msg)),
-            },
-            None => return Some(Response::error(400, "key (hex string) is required")),
-        };
-        let cts = match v.get("cycle_times_ns").and_then(Json::as_array) {
-            Some(a) if !a.is_empty() => a,
-            _ => return Some(Response::error(400, "cycle_times_ns must be a non-empty array")),
-        };
-        let base = match api::system_config_from_json(v.get("timing")) {
-            Ok(c) => c.timing(),
-            Err(msg) => return Some(Response::error(400, &msg)),
-        };
-        let mut timings = Vec::with_capacity(cts.len());
-        for ct in cts {
-            let Some(ns) = ct.as_u64() else {
-                return Some(Response::error(400, "cycle_times_ns entries must be integers"));
-            };
-            let ns = match u32::try_from(ns)
-                .ok()
-                .and_then(|n| cachetime_types::CycleTime::from_ns(n).ok())
-            {
-                Some(ct) => ct,
-                None => return Some(Response::error(400, "cycle time out of range")),
-            };
-            let mut t = base;
-            t.cycle_time = ns;
-            timings.push(t);
-        }
-        let TryGet::Ready(events) = self.store.try_get(key) else {
-            return None; // in flight (join it) or absent (count + 404)
-        };
-        Some(match keyed::replay_timings(&events, &timings) {
-            Ok(results) => replay_response(key, &results),
-            Err(e) => Response::error(400, &e.to_string()),
-        })
-    }
-
     /// `POST /v1/simulate`: full config + workload → one `SimResult`.
     ///
     /// The organization/workload pairing is resolved to its content key;
@@ -1067,9 +968,8 @@ impl App {
             }
         };
         if !cached && !from_disk.get() {
-            // Write-behind spill: this code only runs on the handler pool
-            // (cold work never executes on the event loop), so the disk
-            // write steals no loop time. Failures are counted by the disk
+            // Write-behind spill: simulate only runs on the handler pool,
+            // so the disk write steals no loop time. Failures are counted by the disk
             // metrics and degrade to memory-only behavior.
             if let Some(disk) = &self.disk {
                 let _ = disk.store(key, &events);

@@ -1,5 +1,6 @@
-//! Server-side observability: request counters, in-flight gauge, and
-//! per-endpoint latency histograms.
+//! Server-side observability: request counters, in-flight gauge,
+//! per-endpoint latency histograms, and per-endpoint handler-pool queue
+//! wait.
 //!
 //! Everything here is a [`cachetime_obs`] handle registered in the
 //! `App`'s [`Registry`], so `GET /v1/metrics` (Prometheus exposition)
@@ -40,14 +41,32 @@ pub struct ServerStats {
     pub stats: Arc<Histogram>,
     /// Latency of everything else (healthz, 404s, shutdown) (µs).
     pub other: Arc<Histogram>,
+    /// Handler-pool queue wait of `POST /v1/simulate` (µs): from dispatch
+    /// by the event loop to pickup by a worker.
+    pub simulate_queue_wait: Arc<Histogram>,
+    /// Handler-pool queue wait of `POST /v1/replay` (µs).
+    pub replay_queue_wait: Arc<Histogram>,
+    /// Handler-pool queue wait of `POST /v1/traces` (µs).
+    pub ingest_queue_wait: Arc<Histogram>,
+    /// Handler-pool queue wait of every other pooled route — segment
+    /// transfers and rebalances (µs).
+    pub other_queue_wait: Arc<Histogram>,
 }
 
 impl ServerStats {
-    /// Handles registered in `registry` under the `cachetime_server_*`
-    /// and `cachetime_request_duration_us` families.
+    /// Handles registered in `registry` under the `cachetime_server_*`,
+    /// `cachetime_request_duration_us` and `cachetime_stage_duration_us`
+    /// families. Every series is registered eagerly, so a scrape shows the
+    /// queue-wait stage at zero before the first pooled request.
     pub fn in_registry(registry: &Registry) -> Self {
         let duration =
             |endpoint| registry.histogram("cachetime_request_duration_us", &[("endpoint", endpoint)]);
+        let queue_wait = |endpoint| {
+            registry.histogram(
+                "cachetime_stage_duration_us",
+                &[("endpoint", endpoint), ("stage", "queue_wait")],
+            )
+        };
         ServerStats {
             in_flight: registry.gauge("cachetime_server_in_flight", &[]),
             errors: registry.counter("cachetime_server_errors_total", &[]),
@@ -60,6 +79,10 @@ impl ServerStats {
             ingest: duration("ingest"),
             stats: duration("stats"),
             other: duration("other"),
+            simulate_queue_wait: queue_wait("simulate"),
+            replay_queue_wait: queue_wait("replay"),
+            ingest_queue_wait: queue_wait("ingest"),
+            other_queue_wait: queue_wait("other"),
         }
     }
 }
@@ -197,6 +220,16 @@ impl ServerStats {
         }
     }
 
+    /// The queue-wait histogram a pooled request path belongs to.
+    pub fn queue_wait(&self, method: &str, path: &str) -> &Histogram {
+        match (method, path) {
+            ("POST", "/v1/simulate") => &self.simulate_queue_wait,
+            ("POST", "/v1/replay") => &self.replay_queue_wait,
+            ("POST", "/v1/traces") => &self.ingest_queue_wait,
+            _ => &self.other_queue_wait,
+        }
+    }
+
     /// The `/v1/stats` payload: server counters plus the store's, and —
     /// when the server runs with `--data-dir` — the durable segment
     /// store's. `degraded` is the live load-shedding gauge (see
@@ -277,6 +310,15 @@ impl ServerStats {
                     ("other", latency(&self.other)),
                 ]),
             ),
+            (
+                "queue_wait",
+                json_object([
+                    ("simulate", latency(&self.simulate_queue_wait)),
+                    ("replay", latency(&self.replay_queue_wait)),
+                    ("ingest", latency(&self.ingest_queue_wait)),
+                    ("other", latency(&self.other_queue_wait)),
+                ]),
+            ),
         ])
     }
 }
@@ -331,5 +373,19 @@ mod tests {
         assert_eq!(s.ingest.count(), 1);
         assert_eq!(s.stats.count(), 2);
         assert_eq!(s.other.count(), 2);
+    }
+
+    #[test]
+    fn pooled_endpoints_map_to_their_queue_wait_histograms() {
+        let s = ServerStats::default();
+        s.queue_wait("POST", "/v1/simulate").record(5);
+        s.queue_wait("POST", "/v1/replay").record(5);
+        s.queue_wait("POST", "/v1/traces").record(5);
+        s.queue_wait("GET", "/v1/segments/00").record(5);
+        s.queue_wait("POST", "/v1/rebalance").record(5);
+        assert_eq!(s.simulate_queue_wait.count(), 1);
+        assert_eq!(s.replay_queue_wait.count(), 1);
+        assert_eq!(s.ingest_queue_wait.count(), 1);
+        assert_eq!(s.other_queue_wait.count(), 2);
     }
 }

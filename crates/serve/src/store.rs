@@ -60,8 +60,8 @@ pub enum Fetch {
     TimedOut,
 }
 
-/// Outcome of the non-blocking [`TraceStore::try_get`] — the event loop's
-/// inline warm path.
+/// Outcome of the non-blocking [`TraceStore::try_get`]: a lookup that
+/// never joins an in-flight recording.
 #[derive(Debug)]
 pub enum TryGet {
     /// Resident: served under one brief shard lock, counted as a hit.
@@ -479,9 +479,9 @@ impl TraceStore {
     }
 
     /// Non-blocking lookup: one brief shard lock, never a condvar wait.
-    /// The event loop serves [`TryGet::Ready`] inline and offloads the
-    /// other outcomes to a handler thread, whose *blocking* lookup does
-    /// the lookup accounting — so only the terminal `Ready` counts here.
+    /// Only the terminal [`TryGet::Ready`] counts (as a lookup and a hit):
+    /// a caller that falls back to a *blocking* lookup on the other
+    /// outcomes is counted there, exactly once.
     pub fn try_get(&self, key: u64) -> TryGet {
         let shard = self.shard(key);
         let mut inner = shard.inner.lock().unwrap();

@@ -338,3 +338,77 @@ fn metrics_family_filter_over_a_socket() {
     handle.shutdown();
     handle.join();
 }
+
+/// The handler-pool queue-wait stage over a real socket: every series of
+/// `cachetime_stage_duration_us{stage="queue_wait"}` is present before any
+/// traffic (eager registration), and after a cold and a warm simulate the
+/// simulate series counts both, in agreement with `/v1/stats`.
+#[test]
+fn queue_wait_stage_appears_after_one_warm_simulate() {
+    let app = Arc::new(App::new(64 * 1024 * 1024));
+    let handle = serve_with_app(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..Default::default()
+        },
+        Arc::clone(&app),
+    )
+    .expect("bind an ephemeral port");
+    let addr = handle.local_addr().to_string();
+    let series = |endpoint: &str, suffix: &str| {
+        format!(
+            "cachetime_stage_duration_us_{suffix}{{endpoint=\"{endpoint}\",stage=\"queue_wait\""
+        )
+    };
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, idle) = client.get("/v1/metrics").unwrap();
+    assert_eq!(status, 200, "{idle}");
+    assert!(
+        idle.contains("# TYPE cachetime_stage_duration_us histogram"),
+        "{idle}"
+    );
+    for endpoint in ["simulate", "replay", "ingest", "other"] {
+        assert_eq!(
+            prom(&idle, &(series(endpoint, "count") + "}")),
+            0,
+            "{endpoint}"
+        );
+    }
+
+    // One cold simulate records; the second is warm. Both are pool work.
+    let body = r#"{"trace": {"name": "mu3", "scale": 0.004}}"#;
+    for cached in ["false", "true"] {
+        let (status, resp) = client.post("/v1/simulate", body).unwrap();
+        assert_eq!(status, 200, "{resp}");
+        assert!(resp.contains(&format!("\"cached\":{cached}")), "{resp}");
+    }
+    let (_, stats_body) = client.get("/v1/stats").unwrap();
+    let (_, scraped) = client.get("/v1/metrics").unwrap();
+    let count = prom(&scraped, &(series("simulate", "count") + "}"));
+    assert_eq!(count, 2, "both simulates passed through the pool queue");
+    assert_eq!(
+        prom(&scraped, &(series("simulate", "bucket") + ",le=\"+Inf\"}")),
+        count
+    );
+    assert_eq!(prom(&scraped, &(series("replay", "count") + "}")), 0);
+
+    let stats = Json::parse(&stats_body).unwrap();
+    let simulate = stats
+        .get("queue_wait")
+        .and_then(|q| q.get("simulate"))
+        .unwrap();
+    assert_eq!(
+        simulate.get("count").and_then(Json::as_u64),
+        Some(2),
+        "{stats_body}"
+    );
+    assert!(
+        simulate.get("p50_upper_us").and_then(Json::as_u64).unwrap() > 0,
+        "{stats_body}"
+    );
+
+    handle.shutdown();
+    handle.join();
+}

@@ -1,8 +1,10 @@
 //! Targeted failure-path exercises over real sockets: slowloris peers get
 //! `408`, oversized bodies get `413` before any body byte is read, the
 //! recording admission limit sheds cold simulates with `503 + Retry-After`
-//! while warm replays keep serving, and an injected handler panic becomes
-//! a `500` with the worker pool surviving.
+//! while warm replays keep serving, an injected handler panic becomes
+//! a `500` with the worker pool surviving, a job that expires in the
+//! handler-pool queue answers `503` without running, and a warm simulate
+//! never waits behind a recording while a worker is free.
 
 use cachetime_serve::client::{ClientConfig, HttpClient};
 use cachetime_serve::fault::FaultPlan;
@@ -324,6 +326,164 @@ fn client_retries_reconnect_after_a_severed_connection() {
     );
     handle2.shutdown();
     handle2.join();
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A server with `workers` handler threads and the default limits, for
+/// tests that pin pool threads one at a time.
+fn pool_server(workers: usize) -> (cachetime_serve::ServerHandle, Arc<App>, String) {
+    let app = Arc::new(App::new(64 * 1024 * 1024));
+    let handle = serve_with_app(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers,
+            ..Default::default()
+        },
+        Arc::clone(&app),
+    )
+    .expect("bind an ephemeral port");
+    let addr = handle.local_addr().to_string();
+    (handle, app, addr)
+}
+
+/// Starts a recording of `body`'s pairing through the shared store that
+/// blocks until the returned sender fires, so a simulate of the same
+/// pairing parks a handler thread on the join. Returns once the recording
+/// is in flight.
+fn hold_recording(
+    app: &Arc<App>,
+    body: &str,
+) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+    let v = Json::parse(body).unwrap();
+    let config = cachetime_serve::api::system_config_from_json(v.get("config")).unwrap();
+    let cachetime_serve::api::TraceSelector::Catalog(workload) =
+        cachetime_serve::api::trace_selector_from_json(v.get("trace")).unwrap()
+    else {
+        panic!("a catalog pairing")
+    };
+    let org = config.organization();
+    let key = cachetime::keyed::trace_key(&org, &workload);
+    let (tx, rx) = std::sync::mpsc::channel::<()>();
+    let app_for_thread = Arc::clone(app);
+    let holder = std::thread::spawn(move || {
+        app_for_thread
+            .store
+            .fetch_or_record(key, usize::MAX, None, move || {
+                rx.recv().unwrap();
+                cachetime::keyed::record(&org, &workload).1
+            });
+    });
+    while app.store.stats().in_flight == 0 {
+        std::thread::yield_now();
+    }
+    (tx, holder)
+}
+
+/// Sends one `POST /v1/simulate` on a fresh connection (closed after the
+/// answer) with extra header lines, without reading the answer.
+fn send_simulate(addr: &str, body: &str, headers: &str) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let req = format!(
+        "POST /v1/simulate HTTP/1.1\r\n{headers}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    );
+    s.write_all(req.as_bytes()).unwrap();
+    s
+}
+
+/// Sends a simulate of the held pairing and waits until a handler thread
+/// has joined its recording (the store counts the join as coalesced).
+fn pin_a_worker(app: &App, addr: &str, body: &str) -> TcpStream {
+    let before = app.store.stats().coalesced;
+    let s = send_simulate(addr, body, "");
+    while app.store.stats().coalesced == before {
+        std::thread::yield_now();
+    }
+    s
+}
+
+const WARM: &str = r#"{"trace": {"name": "mu3", "scale": 0.002}}"#;
+const HELD: &str = r#"{"trace": {"name": "savec", "scale": 0.002}}"#;
+
+#[test]
+fn a_job_that_expires_in_the_queue_answers_503_without_replaying() {
+    // Regression: a job whose deadline passed while it waited for a
+    // handler thread used to run anyway — a full replay, answered late
+    // with a 200. It must answer 503 + Retry-After and leave the store
+    // untouched.
+    let (handle, app, addr) = pool_server(1);
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, body) = client.post("/v1/simulate", WARM).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    // The only worker parks on the join of a held recording...
+    let (release, holder) = hold_recording(&app, HELD);
+    let mut pinned = pin_a_worker(&app, &addr, HELD);
+
+    // ...so a warm simulate with a 100 ms budget waits in the queue past
+    // its deadline.
+    let hits = app.store.stats().hits;
+    let timeouts = app.stats.timeouts.get();
+    let mut late = send_simulate(&addr, WARM, "X-Deadline-Ms: 100\r\n");
+    std::thread::sleep(Duration::from_millis(300));
+    release.send(()).unwrap();
+    holder.join().unwrap();
+
+    let (status, text) = read_to_close(&mut pinned);
+    assert_eq!(
+        status, 200,
+        "the pinned join completes once released: {text}"
+    );
+    let (status, text) = read_to_close(&mut late);
+    assert_eq!(status, 503, "an expired job must not run: {text}");
+    assert!(
+        text.to_ascii_lowercase().contains("retry-after:"),
+        "the expiry answer must carry Retry-After: {text}"
+    );
+    assert_eq!(
+        app.store.stats().hits,
+        hits,
+        "the expired job replayed anyway"
+    );
+    assert!(
+        app.stats.timeouts.get() > timeouts,
+        "the expiry is a timeout"
+    );
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn warm_simulates_do_not_wait_behind_a_recording_while_a_worker_is_free() {
+    let (handle, app, addr) = pool_server(2);
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, body) = client.post("/v1/simulate", WARM).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    // One worker parks on the join of a held recording; the other is free.
+    let (release, holder) = hold_recording(&app, HELD);
+    let mut pinned = pin_a_worker(&app, &addr, HELD);
+
+    // A warm simulate on a second connection is answered by the free
+    // worker while the recording is still held.
+    let mut warm = send_simulate(&addr, WARM, "");
+    let (status, text) = read_to_close(&mut warm);
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains(r#""cached":true"#), "{text}");
+    assert_eq!(
+        app.store.stats().in_flight,
+        1,
+        "the warm answer must arrive before the held recording is released"
+    );
+
+    release.send(()).unwrap();
+    holder.join().unwrap();
+    let (status, text) = read_to_close(&mut pinned);
+    assert_eq!(status, 200, "{text}");
 
     handle.shutdown();
     handle.join();

@@ -8,7 +8,9 @@
 # 3. Offline-build guard: the workspace must build with no registry
 #    access at all (zero external dependencies is a hard invariant).
 # 4. Two-phase equivalence cross-check: direct simulation vs the
-#    record/replay pipeline must be bit-identical per grid cell.
+#    record/replay pipeline must be bit-identical per grid cell. Then the
+#    `#[ignore]`d calibration tests (the paper's bands, shapes and
+#    crossovers), which are only fast enough in release.
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -72,6 +74,9 @@ cargo build --offline --workspace
 echo "==> two-phase equivalence cross-check (direct vs record/replay)"
 cargo test --release -q -p cachetime --test two_phase --test two_phase_prop
 
+echo "==> calibration bands, shapes and crossovers (the ignored release-only tests)"
+cargo test --release -q -p cachetime --test calibration -- --ignored
+
 echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
 cargo run --release -q -p cachetime-bench -- sweep "${BENCH_SCALE:-0.05}"
 
@@ -111,6 +116,7 @@ for family in \
   cachetime_server_shed_total \
   cachetime_server_timeouts_total \
   cachetime_request_duration_us \
+  cachetime_stage_duration_us \
   cachetime_record_refs_total \
   cachetime_replay_refs_total \
   cachetime_span_duration_us \
