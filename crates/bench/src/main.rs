@@ -885,7 +885,8 @@ fn run_overload_storm(scale: f64) -> Json {
 /// durable (`data_dir`) server, shut it down, boot a *fresh* server on
 /// the same directory, and re-ask the same cells. The reboot recovers
 /// every segment at startup, so the second pass must be all store hits —
-/// restart-warm requests are replay-priced, not record-priced.
+/// restart-warm requests are replay-priced, not record-priced — and the
+/// recovered store must hold at most 1.25x the sealed segment bytes.
 fn run_restart_leg(scale: f64) -> Json {
     let data_dir = std::env::temp_dir().join(format!(
         "cachetime-bench-restart-{}",
@@ -949,6 +950,28 @@ fn run_restart_leg(scale: f64) -> Json {
         .and_then(Json::as_u64)
         .unwrap_or(0);
     assert_eq!(recovered, SIZES_KIB.len() as u64, "recovery must find every segment");
+    // The store holds each trace as its op stream, the same bytes a
+    // segment seals; only the fixed trace header and the segment header
+    // differ. A decoded in-memory form would be several times larger.
+    let stat = |path: [&str; 2]| {
+        stats
+            .get(path[0])
+            .and_then(|v| v.get(path[1]))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    let resident_bytes = stat(["store", "bytes"]);
+    let sealed_bytes = stat(["disk", "bytes"]);
+    let resident_ratio = resident_bytes as f64 / sealed_bytes as f64;
+    println!(
+        "restart resident:      {resident_bytes} B in the store for {sealed_bytes} B of \
+         segments ({resident_ratio:.2}x)"
+    );
+    assert!(
+        resident_ratio <= 1.25,
+        "recovered traces must stay at most 1.25x their sealed segment bytes \
+         resident (got {resident_bytes} B for {sealed_bytes} B, {resident_ratio:.2}x)"
+    );
     let (status, _) = client.post("/v1/shutdown", "").expect("shutdown life 2");
     assert_eq!(status, 200);
     handle.join();
@@ -971,6 +994,12 @@ fn run_restart_leg(scale: f64) -> Json {
         ("cold_record", cold.to_json()),
         ("restart_warm", rewarm.to_json()),
         ("recovered_segments", Json::from(recovered)),
+        ("resident_bytes", Json::from(resident_bytes)),
+        ("sealed_bytes", Json::from(sealed_bytes)),
+        (
+            "resident_bytes_per_trace",
+            Json::Float(resident_bytes as f64 / recovered as f64),
+        ),
         ("restart_warm_speedup", Json::Float(speedup)),
     ])
 }

@@ -5,9 +5,11 @@
 //! (recording walks the whole reference stream; replay is 20–40x
 //! cheaper), so `cachetime-disk` persists traces across server restarts.
 //! This module defines the byte-exact payload: a little-endian,
-//! field-by-field encoding of the organization half, the behavioral
-//! counters, and the op stream. No external serialization crate is used —
-//! the workspace is zero-dependency by design.
+//! field-by-field encoding of the organization half and the behavioral
+//! counters, then the op count and the trace's op stream, byte for byte as
+//! the trace holds it in memory (its layout is documented in
+//! `stream.rs`). No external serialization crate is used — the workspace
+//! is zero-dependency by design.
 //!
 //! Properties the disk layer relies on:
 //!
@@ -18,29 +20,28 @@
 //!   builders, so a decoded trace satisfies every invariant a freshly
 //!   recorded one does; a corrupt payload yields [`CodecError`], never a
 //!   panic and never an internally inconsistent trace.
-//! * **Bounded allocation**: claimed lengths are checked against the
-//!   remaining input before any buffer is reserved, so truncated or
-//!   garbage headers cannot trigger huge allocations.
+//! * **Bounded allocation**: the only buffer decode reserves is the copy
+//!   of an op stream it has already walked, so truncated or garbage input
+//!   can never trigger an allocation larger than itself.
 //!
 //! The on-disk segment wraps this payload in a checksummed header (see
 //! `cachetime-disk`); the codec itself starts with a one-byte payload
 //! version so the format can evolve independently of the container.
 
 use crate::replay::EventTrace;
+use crate::stream;
 use crate::system::{OrgConfig, SystemConfig};
 use cachetime_cache::{
     CacheConfig, CacheStats, ReplacementPolicy, VictimCacheConfig, WayPrediction, WriteAllocate,
     WritePolicy,
 };
 use cachetime_mmu::{MmuStats, TranslationConfig};
-use cachetime_types::{
-    AccessEvent, Assoc, BlockWords, CacheSize, CoupletClass, EventOp, Pid, RefEvent, VictimBlock,
-    WordAddr,
-};
+use cachetime_types::{Assoc, BlockWords, CacheSize};
 
 /// Payload format version written by [`encode`]; [`decode`] rejects
-/// anything else.
-pub const PAYLOAD_VERSION: u8 = 1;
+/// anything else. Version 2 carries the trace's op stream verbatim;
+/// version 1 encoded every op field by field and is no longer read.
+pub const PAYLOAD_VERSION: u8 = 2;
 
 /// Why a payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,9 +71,8 @@ impl std::error::Error for CodecError {}
 
 /// Serializes a trace to the versioned payload format.
 pub fn encode(trace: &EventTrace) -> Vec<u8> {
-    // Fixed header ~200 bytes + ops; sizing up front keeps the encode
-    // loop off the reallocation path for typical traces.
-    let mut out = Vec::with_capacity(256 + trace.ops().len() * 24);
+    let ops = trace.op_bytes();
+    let mut out = Vec::with_capacity(HEADER_CAPACITY + ops.len());
     out.push(PAYLOAD_VERSION);
     let org = trace.organization();
     put_cache_config(&mut out, org.l1i());
@@ -101,11 +101,12 @@ pub fn encode(trace: &EventTrace) -> Vec<u8> {
         }
     }
     put_u64(&mut out, trace.ops().len() as u64);
-    for op in trace.ops() {
-        put_op(&mut out, op);
-    }
+    out.extend_from_slice(ops);
     out
 }
+
+/// Upper bound on the header [`encode`] writes before the op stream.
+const HEADER_CAPACITY: usize = 512;
 
 /// Deserializes a payload produced by [`encode`].
 ///
@@ -165,19 +166,26 @@ pub fn decode(bytes: &[u8]) -> Result<EventTrace, CodecError> {
     let op_count = r.u64()?;
     // The smallest op (WarmBoundary) is one byte, so a claimed count
     // beyond the remaining input is provably a lie — reject before
-    // reserving anything.
+    // walking anything.
     if op_count > r.remaining() as u64 {
         return Err(CodecError::Truncated);
     }
-    let mut ops = Vec::with_capacity(op_count as usize);
-    for _ in 0..op_count {
-        ops.push(get_op(&mut r)?);
-    }
+    // One checking walk over the stream, then one copy of its bytes: the
+    // decoded trace holds them as they are.
+    let len = stream::validate(&bytes[r.pos..], &org, op_count)?;
+    let ops = r.take(len)?.into();
     if r.remaining() != 0 {
         return Err(CodecError::Invalid("trailing bytes"));
     }
     Ok(EventTrace::from_raw_parts(
-        org, ops, refs, couplets, l1i_stats, l1d_stats, mmu,
+        org,
+        ops,
+        op_count as usize,
+        refs,
+        couplets,
+        l1i_stats,
+        l1d_stats,
+        mmu,
     ))
 }
 
@@ -188,10 +196,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -256,86 +260,6 @@ fn put_cache_stats(out: &mut Vec<u8>, s: &CacheStats) {
     }
 }
 
-fn put_victim(out: &mut Vec<u8>, v: &Option<VictimBlock>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v.addr.value());
-            put_u32(out, v.words);
-        }
-    }
-}
-
-fn put_access(out: &mut Vec<u8>, a: &AccessEvent) {
-    match a {
-        AccessEvent::ReadHit => out.push(0),
-        AccessEvent::ReadMiss {
-            fetch_start,
-            fill_words,
-            victim,
-        } => {
-            out.push(1);
-            put_u64(out, fetch_start.value());
-            put_u32(out, *fill_words);
-            put_victim(out, victim);
-        }
-        AccessEvent::WriteHit { through } => {
-            out.push(2);
-            put_bool(out, *through);
-        }
-        AccessEvent::WriteMissAround => out.push(3),
-        AccessEvent::WriteMissAllocate {
-            fetch_start,
-            fill_words,
-            victim,
-            through,
-        } => {
-            out.push(4);
-            put_u64(out, fetch_start.value());
-            put_u32(out, *fill_words);
-            put_victim(out, victim);
-            put_bool(out, *through);
-        }
-        AccessEvent::ReadSlowHit => out.push(5),
-        AccessEvent::ReadVictimHit => out.push(6),
-        AccessEvent::WriteVictimHit { through } => {
-            out.push(7);
-            put_bool(out, *through);
-        }
-    }
-}
-
-fn put_ref_event(out: &mut Vec<u8>, r: &Option<RefEvent>) {
-    match r {
-        None => out.push(0),
-        Some(r) => {
-            out.push(1);
-            put_u64(out, r.addr.value());
-            put_u16(out, r.pid.0);
-            put_u64(out, r.walk_cycles);
-            put_access(out, &r.access);
-        }
-    }
-}
-
-fn put_op(out: &mut Vec<u8>, op: &EventOp) {
-    match op {
-        EventOp::HitRun { counts } => {
-            out.push(0);
-            for c in counts {
-                put_u32(out, *c);
-            }
-        }
-        EventOp::Couplet { iref, dref } => {
-            out.push(1);
-            put_ref_event(out, iref);
-            put_ref_event(out, dref);
-        }
-        EventOp::WarmBoundary => out.push(2),
-    }
-}
-
 // ---------------------------------------------------------------- readers
 
 struct Reader<'a> {
@@ -359,10 +283,6 @@ impl Reader<'_> {
 
     fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     fn u32(&mut self) -> Result<u32, CodecError> {
@@ -457,71 +377,6 @@ fn get_cache_stats(r: &mut Reader<'_>) -> Result<CacheStats, CodecError> {
     })
 }
 
-fn get_victim(r: &mut Reader<'_>) -> Result<Option<VictimBlock>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(VictimBlock {
-            addr: WordAddr::new(r.u64()?),
-            words: r.u32()?,
-        })),
-        _ => Err(CodecError::Invalid("victim flag")),
-    }
-}
-
-fn get_access(r: &mut Reader<'_>) -> Result<AccessEvent, CodecError> {
-    Ok(match r.u8()? {
-        0 => AccessEvent::ReadHit,
-        1 => AccessEvent::ReadMiss {
-            fetch_start: WordAddr::new(r.u64()?),
-            fill_words: r.u32()?,
-            victim: get_victim(r)?,
-        },
-        2 => AccessEvent::WriteHit { through: r.bool()? },
-        3 => AccessEvent::WriteMissAround,
-        4 => AccessEvent::WriteMissAllocate {
-            fetch_start: WordAddr::new(r.u64()?),
-            fill_words: r.u32()?,
-            victim: get_victim(r)?,
-            through: r.bool()?,
-        },
-        5 => AccessEvent::ReadSlowHit,
-        6 => AccessEvent::ReadVictimHit,
-        7 => AccessEvent::WriteVictimHit { through: r.bool()? },
-        _ => return Err(CodecError::Invalid("access tag")),
-    })
-}
-
-fn get_ref_event(r: &mut Reader<'_>) -> Result<Option<RefEvent>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(RefEvent {
-            addr: WordAddr::new(r.u64()?),
-            pid: Pid(r.u16()?),
-            walk_cycles: r.u64()?,
-            access: get_access(r)?,
-        })),
-        _ => Err(CodecError::Invalid("ref-event flag")),
-    }
-}
-
-fn get_op(r: &mut Reader<'_>) -> Result<EventOp, CodecError> {
-    Ok(match r.u8()? {
-        0 => {
-            let mut counts = [0u32; CoupletClass::COUNT];
-            for c in &mut counts {
-                *c = r.u32()?;
-            }
-            EventOp::HitRun { counts }
-        }
-        1 => EventOp::Couplet {
-            iref: get_ref_event(r)?,
-            dref: get_ref_event(r)?,
-        },
-        2 => EventOp::WarmBoundary,
-        _ => return Err(CodecError::Invalid("op tag")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +435,8 @@ mod tests {
         // the header length.
         let empty = EventTrace::from_raw_parts(
             *events.organization(),
-            Vec::new(),
+            Box::default(),
+            0,
             events.refs(),
             events.couplets(),
             *events.l1i_stats(),

@@ -51,12 +51,14 @@ mod hierarchy;
 pub mod keyed;
 mod replay;
 mod result;
+mod stream;
 pub mod sweep;
 mod system;
 
 pub use engine::Simulator;
 pub use replay::{replay, replay_many, simulate_two_phase, BehavioralSim, EventTrace};
 pub use result::{CoupletHistogram, SimResult};
+pub use stream::Ops;
 pub use system::{
     FillPolicy, LevelTwoConfig, OrgConfig, SystemConfig, SystemConfigBuilder, TimingConfig,
 };

@@ -40,6 +40,7 @@
 
 use crate::hierarchy::Downstream;
 use crate::result::{CoupletHistogram, SimResult};
+use crate::stream::{LoneReadMiss, Op, OpReader, OpWriter, Ops, Shape};
 use crate::system::{FillPolicy, OrgConfig, SystemConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
 use cachetime_mmu::{Mmu, MmuStats};
@@ -60,7 +61,10 @@ use cachetime_types::{
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventTrace {
     org: OrgConfig,
-    ops: Vec<EventOp>,
+    /// The recorded ops as one compact stream (see [`crate::stream`]):
+    /// the same bytes the codec carries, exactly sized.
+    ops: Box<[u8]>,
+    op_count: usize,
     /// References in the measured (post-warm-start) window.
     refs: u64,
     /// Total couplets over the whole trace.
@@ -77,8 +81,13 @@ impl EventTrace {
         &self.org
     }
 
-    /// The recorded event stream.
-    pub fn ops(&self) -> &[EventOp] {
+    /// The recorded event stream, decoded one op at a time.
+    pub fn ops(&self) -> Ops<'_> {
+        Ops::new(&self.ops, self.op_count, &self.org)
+    }
+
+    /// The op stream's bytes ([`crate::codec`] only).
+    pub(crate) fn op_bytes(&self) -> &[u8] {
         &self.ops
     }
 
@@ -102,14 +111,12 @@ impl EventTrace {
         &self.l1d
     }
 
-    /// Approximate heap-plus-inline size of this trace in bytes.
-    ///
-    /// Counts the op vector's capacity plus the fixed header — the only
-    /// allocations of consequence — so a byte-budgeted store (the
-    /// simulation server's LRU) can account for what eviction would
-    /// actually reclaim.
+    /// Size of this trace in bytes: the struct plus the op stream, its one
+    /// heap allocation (exactly sized), so a byte-budgeted store (the
+    /// simulation server's LRU) accounts for what eviction would actually
+    /// reclaim.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.ops.capacity() * std::mem::size_of::<EventOp>()
+        std::mem::size_of::<Self>() + self.ops.len()
     }
 
     /// The compression the run-length encoding achieved: recorded ops per
@@ -119,7 +126,7 @@ impl EventTrace {
         if self.couplets == 0 {
             0.0
         } else {
-            self.ops.len() as f64 / self.couplets as f64
+            self.op_count as f64 / self.couplets as f64
         }
     }
 
@@ -131,12 +138,15 @@ impl EventTrace {
 
     /// Reassembles a trace from its decoded parts ([`crate::codec`] only).
     ///
-    /// Callers must provide parts that came out of `encode`; the codec's
+    /// Callers must provide a stream of `op_count` ops that
+    /// [`crate::stream::validate`] accepted under `org`; the codec's
     /// round-trip tests pin that the result is bit-identical to the
     /// original recording.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw_parts(
         org: OrgConfig,
-        ops: Vec<EventOp>,
+        ops: Box<[u8]>,
+        op_count: usize,
         refs: u64,
         couplets: u64,
         l1i: CacheStats,
@@ -146,6 +156,7 @@ impl EventTrace {
         EventTrace {
             org,
             ops,
+            op_count,
             refs,
             couplets,
             l1i,
@@ -166,6 +177,8 @@ pub struct BehavioralSim {
     l1i: Cache,
     l1d: Cache,
     mmu: Option<Mmu>,
+    /// Whether the machine still holds power-on state (nothing recorded).
+    cold: bool,
 }
 
 impl BehavioralSim {
@@ -176,13 +189,14 @@ impl BehavioralSim {
             l1i: Cache::new(*org.l1i()),
             l1d: Cache::new(*org.l1d()),
             mmu: org.translation().map(|t| Mmu::new(*t)),
+            cold: true,
         }
     }
 
     /// Records the behavioral events of `trace` from power-on state.
     ///
-    /// The machine is reset first, so repeated `record` calls are
-    /// independent.
+    /// A machine that has already recorded is reset first, so repeated
+    /// `record` calls are independent.
     pub fn record(&mut self, trace: &Trace) -> EventTrace {
         self.record_refs(trace.refs().iter().copied(), trace.warm_start())
     }
@@ -197,13 +211,20 @@ impl BehavioralSim {
     ) -> EventTrace {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_record");
-        *self = BehavioralSim::new(&self.org);
+        // Building the L1 frame arrays is a measurable share of a short
+        // recording (megabytes at the largest sizes), so a fresh machine
+        // is used as is.
+        if !self.cold {
+            *self = BehavioralSim::new(&self.org);
+        }
+        self.cold = false;
         let split = self.org.is_split();
         let mut refs = refs.into_iter().peekable();
-        // Hit runs collapse most couplets, so ops land well under one per
-        // four references on realistic traces; start there to keep the
-        // push path off the reallocation slow path.
-        let mut ops: Vec<EventOp> = Vec::with_capacity(refs.size_hint().0 / 4);
+        // Hit runs collapse most couplets and an op takes a few bytes, so
+        // the stream lands well under one byte per two references on
+        // realistic traces; start there to keep the push path off the
+        // reallocation slow path.
+        let mut ops = OpWriter::new(Shape::of(&self.org), refs.size_hint().0 / 2);
 
         let mut i = 0usize;
         let mut couplets = 0u64;
@@ -219,7 +240,7 @@ impl BehavioralSim {
             if !warmed && i >= warm_start {
                 warmed = true;
                 Self::flush_hits(&mut ops, &mut pending);
-                ops.push(EventOp::WarmBoundary);
+                ops.push(&EventOp::WarmBoundary);
                 self.l1i.reset_stats();
                 self.l1d.reset_stats();
                 if let Some(mmu) = &mut self.mmu {
@@ -253,9 +274,11 @@ impl BehavioralSim {
         obs.counter("cachetime_record_refs_total", &[]).add(i as u64);
         obs.counter("cachetime_record_ops_total", &[]).add(ops.len() as u64);
 
+        let (ops, op_count) = ops.finish();
         EventTrace {
             org: self.org,
             ops,
+            op_count,
             refs: (i - warm_start.min(i)) as u64,
             couplets,
             l1i: *self.l1i.stats(),
@@ -266,9 +289,9 @@ impl BehavioralSim {
 
     /// Closes the open hit run, if any, by appending it to `ops`.
     #[inline]
-    fn flush_hits(ops: &mut Vec<EventOp>, pending: &mut [u32; CoupletClass::COUNT]) {
+    fn flush_hits(ops: &mut OpWriter, pending: &mut [u32; CoupletClass::COUNT]) {
         if pending.iter().any(|&c| c != 0) {
-            ops.push(EventOp::HitRun { counts: *pending });
+            ops.push(&EventOp::HitRun { counts: *pending });
             *pending = [0u32; CoupletClass::COUNT];
         }
     }
@@ -277,7 +300,7 @@ impl BehavioralSim {
     /// the resulting op (extending the open hit run where possible).
     fn record_couplet(
         &mut self,
-        ops: &mut Vec<EventOp>,
+        ops: &mut OpWriter,
         pending: &mut [u32; CoupletClass::COUNT],
         iref: Option<MemRef>,
         dref: Option<MemRef>,
@@ -321,10 +344,7 @@ impl BehavioralSim {
             }
             None => {
                 Self::flush_hits(ops, pending);
-                ops.push(EventOp::Couplet {
-                    iref: ie,
-                    dref: de,
-                });
+                ops.push(&EventOp::Couplet { iref: ie, dref: de });
             }
         }
     }
@@ -472,13 +492,18 @@ pub fn replay_many(
     // varies between configs — cache hits cost processor cycles, so every
     // replayer prices a hit run identically. Resolve the per-class costs
     // and histogram buckets once up front and reprice each run with one
-    // pass over the counts instead of one per replayer.
-    let shared_hits = rs.iter().all(|r| r.hit_costs == rs[0].hit_costs);
+    // pass over the counts instead of one per replayer. That pays only
+    // when there is more than one replayer to share it: a single config
+    // takes the branchless per-replayer step.
+    let shared_hits = rs.len() > 1 && rs.iter().all(|r| r.hit_costs == rs[0].hit_costs);
     let hit_costs = rs.first().map(|r| r.hit_costs).unwrap_or_default();
     let hit_buckets = hit_costs.map(CoupletHistogram::bucket_of);
-    for op in &events.ops {
-        match op {
-            EventOp::HitRun { counts } => {
+    // Each op is decoded once, straight off the stream, for all replayers.
+    let mut ops = OpReader::new(&events.ops, &events.org);
+    let shape = Shape::of(&events.org);
+    for _ in 0..events.op_count {
+        match ops.next_valid() {
+            Op::HitRun(counts) => {
                 if shared_hits {
                     let mut d_now = 0u64;
                     let mut n_total = 0u64;
@@ -510,52 +535,28 @@ pub fn replay_many(
                     }
                 } else {
                     for r in &mut rs {
-                        r.step_hit_run(counts);
+                        r.step_hit_run(&counts);
                     }
                 }
             }
-            EventOp::Couplet { iref, dref } => {
-                let (i, d) = (iref.as_ref(), dref.as_ref());
-                // Recorded couplets are overwhelmingly a lone, walk-free
-                // read miss (typically ~90%); decode that shape once here
-                // instead of once per replayer.
-                let lone = match (i, d) {
-                    (Some(e), None) | (None, Some(e)) => Some(e),
-                    _ => None,
-                };
-                match lone {
-                    Some(e) if e.walk_cycles == 0 => match e.access {
-                        AccessEvent::ReadMiss {
-                            fetch_start,
-                            fill_words,
-                            victim,
-                        } => {
-                            let victim = victim.map(|v| (v.addr, v.words));
-                            let offset = (e.addr.value() - fetch_start.value()) as u32;
-                            for r in &mut rs {
-                                r.step_lone_read_miss(
-                                    e.pid,
-                                    fetch_start,
-                                    fill_words,
-                                    victim,
-                                    offset,
-                                );
-                            }
-                        }
-                        _ => {
-                            for r in &mut rs {
-                                r.step_couplet(i, d);
-                            }
-                        }
-                    },
-                    _ => {
-                        for r in &mut rs {
-                            r.step_couplet(i, d);
-                        }
+            // A lone, walk-free read miss is the commonest recorded
+            // couplet; resolve that shape once here instead of once per
+            // replayer.
+            Op::Couplet(i, d) => match shape.lone_read_miss(i, d) {
+                Some(m) => {
+                    for r in &mut rs {
+                        r.step_lone_read_miss(&m);
                     }
                 }
-            }
-            EventOp::WarmBoundary => {
+                None => {
+                    let i = i.map(|h| shape.event(h, true));
+                    let d = d.map(|h| shape.event(h, false));
+                    for r in &mut rs {
+                        r.step_couplet(i.as_ref(), d.as_ref());
+                    }
+                }
+            },
+            Op::WarmBoundary => {
                 for r in &mut rs {
                     r.warm_reset();
                 }
@@ -692,26 +693,21 @@ impl Replayer {
         }
     }
 
-    /// [`step_couplet`](Self::step_couplet) specialized for the dominant
+    /// [`step_couplet`](Self::step_couplet) specialized for the commonest
     /// couplet shape: a single half, no TLB walk, read miss. Same
     /// arithmetic — whichever side the half was on, its issue time is
     /// `now` and its ideal time is one read hit — but the event is
     /// decoded by the caller, once for all replayers.
     #[inline]
-    fn step_lone_read_miss(
-        &mut self,
-        pid: cachetime_types::Pid,
-        fetch_start: cachetime_types::WordAddr,
-        fill_words: u32,
-        victim: Option<(cachetime_types::WordAddr, u32)>,
-        offset: u32,
-    ) {
+    fn step_lone_read_miss(&mut self, m: &LoneReadMiss) {
         let now = self.now;
-        let grant = self.down.fill_l1(now + 1, pid, fetch_start, fill_words, victim);
+        let grant = self
+            .down
+            .fill_l1(now + 1, m.pid, m.fetch_start, m.fill_words, m.victim);
         let completion = match self.fill_policy {
             FillPolicy::WaitWholeBlock => grant.done,
             FillPolicy::EarlyContinuation => {
-                grant.ready + self.down.upstream_transfer_cycles(offset + 1)
+                grant.ready + self.down.upstream_transfer_cycles(m.offset + 1)
             }
             FillPolicy::LoadForward => grant.ready + self.down.upstream_transfer_cycles(1),
         };

@@ -85,6 +85,43 @@ fn restart_recovers_everything_written() {
 }
 
 #[test]
+fn version_1_segments_are_quarantined_on_restart() {
+    // A directory written before the payload format moved to version 2:
+    // an intact container around a version-1 payload, beside a current
+    // segment.
+    let root = scratch("v1-upgrade");
+    std::fs::create_dir_all(&root).unwrap();
+    let old_key = 0x0123_4567_89ab_cdef;
+    let v1 = include_bytes!("../../core/tests/data/payload_v1.bin");
+    std::fs::write(
+        root.join(format!("{old_key:016x}.seg")),
+        segment::seal(old_key, v1),
+    )
+    .unwrap();
+    let (key, trace) = sample_trace(0);
+    let sealed = segment::seal(key, &cachetime::codec::encode(&trace));
+    std::fs::write(root.join(format!("{key:016x}.seg")), sealed).unwrap();
+
+    let store = open(root.clone(), 0);
+    let mut recovered = Vec::new();
+    let report = store
+        .scan(|key, trace| recovered.push((key, trace)))
+        .unwrap();
+    assert_eq!(report.recovered, 1);
+    assert_eq!(report.quarantined, 1);
+    assert_eq!(recovered, vec![(key, trace)]);
+    assert!(
+        !store.contains(old_key),
+        "the old segment reads as absent and re-records"
+    );
+    assert!(root
+        .join("quarantine")
+        .join(format!("{old_key:016x}.seg"))
+        .exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn scan_removes_stale_temp_files() {
     let root = scratch("stale-tmp");
     let store = open(root.clone(), 0);

@@ -39,6 +39,11 @@ use cachetime_types::{ConfigError, Pid, StableHash, StableHasher, WordAddr};
 use std::collections::HashMap;
 use std::ops::AddAssign;
 
+/// Largest accepted [`TranslationConfig::miss_penalty`]: far beyond any
+/// real table walk, and small enough that no simulation's cycle count
+/// can overflow adding walks up.
+pub const MAX_MISS_PENALTY: u64 = u32::MAX as u64;
+
 /// Configuration of the translation layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TranslationConfig {
@@ -58,9 +63,18 @@ impl TranslationConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for non-power-of-two geometry or an
-    /// associativity exceeding the entry count.
+    /// Returns a [`ConfigError`] for non-power-of-two geometry, an
+    /// associativity exceeding the entry count, or a miss penalty above
+    /// [`MAX_MISS_PENALTY`].
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.miss_penalty > MAX_MISS_PENALTY {
+            return Err(ConfigError::OutOfRange {
+                what: "TLB miss penalty (cycles)",
+                value: self.miss_penalty,
+                min: 0,
+                max: MAX_MISS_PENALTY,
+            });
+        }
         for (what, v) in [
             ("page size (words)", self.page_words),
             ("TLB entries", self.tlb_entries),
@@ -286,6 +300,23 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn miss_penalty_is_bounded() {
+        let at_max = TranslationConfig {
+            miss_penalty: MAX_MISS_PENALTY,
+            ..Default::default()
+        };
+        assert!(at_max.validate().is_ok());
+        let over = TranslationConfig {
+            miss_penalty: MAX_MISS_PENALTY + 1,
+            ..Default::default()
+        };
+        assert!(matches!(
+            over.validate(),
+            Err(ConfigError::OutOfRange { .. })
+        ));
     }
 
     #[test]

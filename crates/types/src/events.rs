@@ -4,9 +4,11 @@
 //! (which caches hit, which blocks fill, which victims write back — a
 //! function of the cache *organization* and the reference stream alone)
 //! and a **timing replay** that prices those events under a particular
-//! clock, memory, and buffer configuration. The types here are the wire
-//! format between the two phases: one [`EventOp`] per CPU issue slot,
-//! with runs of all-hit couplets collapsed to a single counter.
+//! clock, memory, and buffer configuration. The types here are the
+//! vocabulary between the two phases: one [`EventOp`] per CPU issue slot,
+//! with runs of all-hit couplets collapsed to a single counter. A recorded
+//! trace stores them as a compact byte stream and yields `EventOp`s as
+//! its decoded view.
 //!
 //! The factoring is sound because nothing *above* the write buffers is
 //! timing-dependent: cache lookup, replacement, and TLB state advance per

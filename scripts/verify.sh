@@ -51,7 +51,8 @@
 # 13. Serve benchmark: cold/warm/batch legs, a chunked-ingest throughput
 #    leg (refs/sec), the 1..256-client concurrency sweep (p50 at 256
 #    clients must stay within 3x of solo), and the cold-record vs
-#    restart-warm leg (>= 10x). Refreshes BENCH_serve.json.
+#    restart-warm leg (>= 10x; the recovered store must hold at most
+#    1.25x its sealed segment bytes). Refreshes BENCH_serve.json.
 # 14. Associativity-threshold study at small scale: the organization
 #    features (victim cache, way prediction) must reproduce the
 #    crossover — a size below which set-associativity stops paying
