@@ -16,9 +16,8 @@
 //! bit-identically to an in-process `Simulator::run` (used by
 //! `scripts/verify.sh`).
 //!
-//! The Criterion benches (`benches/`) remain available behind the
-//! `criterion` feature for statistically rigorous comparisons; this
-//! harness is the one that runs offline with zero dependencies.
+//! `cachetime-bench ablation` prints the model ablations of DESIGN.md
+//! §10: the execution-time delta of toggling one modeling decision.
 
 use cachetime::{replay_many, simulate, sweep, BehavioralSim, SimResult, Simulator, SystemConfig};
 use cachetime_cache::{CacheConfig, VictimCacheConfig, WayPrediction};
@@ -34,7 +33,8 @@ const DEFAULT_SCALE: f64 = 0.05;
 /// The paper's §3 per-cache size axis: 2 KB through 2 MB. With the 16
 /// cycle times below this is exactly the 11×16 speed–size grid the
 /// two-phase pipeline was built for: 176 simulations per trace become 11
-/// behavioral passes plus 176 replays.
+/// behavioral passes plus 99 replays (the 16 cycle times quantize to 9
+/// distinct machines).
 const SIZES_KIB: [u64; 11] = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 
 /// The paper's full cycle-time axis — the dimension repricing collapses.
@@ -126,10 +126,16 @@ impl Measurement {
     }
 }
 
-/// Times the pre-refactor path: one full simulation per grid cell.
-fn measure_direct(cells: &[Cell], traces: &[Trace], jobs: usize) -> Measurement {
+/// Times the pre-refactor path: one full simulation per grid cell, each
+/// machine built from its per-cache size and cycle time.
+fn measure_direct(
+    cells: &[Cell],
+    traces: &[Trace],
+    jobs: usize,
+    build: impl Fn(u64, u32) -> SystemConfig + Sync,
+) -> Measurement {
     let run = sweep::run(cells, jobs, |_, c| {
-        simulate(&build_config(c.size_kib, c.ct_ns), &traces[c.trace])
+        simulate(&build(c.size_kib, c.ct_ns), &traces[c.trace])
     })
     .expect("sweep succeeds");
     Measurement {
@@ -141,37 +147,17 @@ fn measure_direct(cells: &[Cell], traces: &[Trace], jobs: usize) -> Measurement 
 }
 
 /// Times the two-phase path: per organization×trace, one behavioral pass
-/// plus a timing replay per cycle time.
-fn measure_two_phase(tasks: &[OrgTask], traces: &[Trace], jobs: usize) -> Measurement {
-    let run = sweep::run(tasks, jobs, |_, t| {
-        let configs: Vec<SystemConfig> = CYCLE_TIMES_NS
-            .iter()
-            .map(|&ct| build_config(t.size_kib, ct))
-            .collect();
-        let events = BehavioralSim::new(&configs[0].organization()).record(&traces[t.trace]);
-        replay_many(&events, &configs).expect("same organization")
-    })
-    .expect("sweep succeeds");
-    Measurement {
-        jobs: run.jobs,
-        wall: run.wall_time,
-        cells: tasks.len() * CYCLE_TIMES_NS.len(),
-        results: run.results.into_iter().flatten().collect(),
-    }
-}
-
-/// [`measure_two_phase`] over the 2-way grid, featureless or featured —
-/// the record/replay overhead leg of the organization features.
-fn measure_two_phase_features(
+/// plus one replay of the whole cycle-time axis.
+fn measure_two_phase(
     tasks: &[OrgTask],
     traces: &[Trace],
     jobs: usize,
-    featured: bool,
+    build: impl Fn(u64, u32) -> SystemConfig + Sync,
 ) -> Measurement {
     let run = sweep::run(tasks, jobs, |_, t| {
         let configs: Vec<SystemConfig> = CYCLE_TIMES_NS
             .iter()
-            .map(|&ct| build_features_config(t.size_kib, ct, featured))
+            .map(|&ct| build(t.size_kib, ct))
             .collect();
         let events = BehavioralSim::new(&configs[0].organization()).record(&traces[t.trace]);
         replay_many(&events, &configs).expect("same organization")
@@ -222,21 +208,21 @@ fn run_sweep_bench(scale: f64) {
 
     // Warm-up pass so page faults and lazy allocation don't bias the
     // first timed leg.
-    let _ = measure_two_phase(&org_tasks, &traces, 1);
+    let _ = measure_two_phase(&org_tasks, &traces, 1, build_config);
 
-    let direct = measure_direct(&cells, &traces, 1);
+    let direct = measure_direct(&cells, &traces, 1, build_config);
     // Min-of-3 for the serial two-phase leg: it is a single ~1s pass, so
     // one scheduler stall on a shared host skews it (and the repricing
     // speedup built on it) by 30%; the direct leg is long enough to
     // average bursts out.
-    let mut two_phase = measure_two_phase(&org_tasks, &traces, 1);
+    let mut two_phase = measure_two_phase(&org_tasks, &traces, 1, build_config);
     for _ in 0..2 {
-        let again = measure_two_phase(&org_tasks, &traces, 1);
+        let again = measure_two_phase(&org_tasks, &traces, 1, build_config);
         if again.wall < two_phase.wall {
             two_phase = again;
         }
     }
-    let parallel = measure_two_phase(&org_tasks, &traces, 0);
+    let parallel = measure_two_phase(&org_tasks, &traces, 0, build_config);
     assert_equivalent(&direct, &two_phase, traces.len());
 
     // Observability leg: the instrumented engine (spans + counters on
@@ -248,9 +234,9 @@ fn run_sweep_bench(scale: f64) {
     let mut spans_on = Duration::MAX;
     for _ in 0..3 {
         obs.set_spans_enabled(false);
-        spans_off = spans_off.min(measure_two_phase(&org_tasks, &traces, 1).wall);
+        spans_off = spans_off.min(measure_two_phase(&org_tasks, &traces, 1, build_config).wall);
         obs.set_spans_enabled(true);
-        spans_on = spans_on.min(measure_two_phase(&org_tasks, &traces, 1).wall);
+        spans_on = spans_on.min(measure_two_phase(&org_tasks, &traces, 1, build_config).wall);
     }
     let obs_overhead = spans_on.as_secs_f64() / spans_off.as_secs_f64() - 1.0;
 
@@ -258,19 +244,29 @@ fn run_sweep_bench(scale: f64) {
     // victim buffer + MRU prediction, interleaved min-of-3 like the
     // observability leg. Records how much the feature machinery costs
     // the record/replay pipeline end to end.
+    let two_way = |size_kib, ct_ns| build_features_config(size_kib, ct_ns, false);
+    let featured_config = |size_kib, ct_ns| build_features_config(size_kib, ct_ns, true);
     let mut features_off = Duration::MAX;
-    let mut features_on = Duration::MAX;
-    let mut features_on_cps = 0.0;
+    let mut featured: Option<Measurement> = None;
     for _ in 0..3 {
-        features_off =
-            features_off.min(measure_two_phase_features(&org_tasks, &traces, 1, false).wall);
-        let on = measure_two_phase_features(&org_tasks, &traces, 1, true);
-        if on.wall < features_on {
-            features_on = on.wall;
-            features_on_cps = on.cells_per_sec();
+        features_off = features_off.min(measure_two_phase(&org_tasks, &traces, 1, two_way).wall);
+        let on = measure_two_phase(&org_tasks, &traces, 1, featured_config);
+        if featured.as_ref().is_none_or(|f| on.wall < f.wall) {
+            featured = Some(on);
         }
     }
+    let featured = featured.expect("three runs");
+    let features_on = featured.wall;
+    let features_on_cps = featured.cells_per_sec();
     let features_overhead = features_on.as_secs_f64() / features_off.as_secs_f64() - 1.0;
+    // Check the featured grid end to end too: every cell the replay
+    // shares between tied cycle times, against its own direct run. Not
+    // timed, so it takes every core.
+    assert_equivalent(
+        &measure_direct(&cells, &traces, 0, featured_config),
+        &featured,
+        traces.len(),
+    );
 
     let repricing_speedup = direct.wall.as_secs_f64() / two_phase.wall.as_secs_f64();
     println!(
@@ -654,6 +650,10 @@ const SWEEP_THINK_MS: u64 = 100;
 /// what scale the rest of the bench runs at: it measures the transport's
 /// concurrency behavior, so the per-request work is pinned light.
 const SWEEP_SCALE: f64 = 0.005;
+/// Requests the solo level takes: its p50 is the flatness ratio's
+/// baseline, and a p50 read off a few dozen samples moved enough between
+/// runs to fail the bound with no change on the request path.
+const SWEEP_SOLO_REQUESTS: usize = 240;
 /// Solo p50 floor for the flatness ratio, so a once-in-a-run scheduler
 /// blip on a microsecond-fast solo baseline cannot fail the bound.
 const SWEEP_NOISE_FLOOR_US: u64 = 100;
@@ -681,7 +681,11 @@ fn run_concurrency_sweep(addr: &str) -> Json {
     for &clients in &SWEEP_CLIENT_COUNTS {
         // Fewer requests per client as the crowd grows; the solo level
         // takes extra samples so its p50 (the baseline) is stable.
-        let reqs = (48 / clients).max(6);
+        let reqs = if clients == 1 {
+            SWEEP_SOLO_REQUESTS
+        } else {
+            (48 / clients).max(6)
+        };
         let started = Instant::now();
         let threads: Vec<_> = (0..clients)
             .map(|i| {
@@ -1857,6 +1861,11 @@ fn main() {
             };
             run_serve_bench(scale);
         }
+        Some("ablation") => {
+            for row in cachetime_bench::ablations() {
+                println!("{row}");
+            }
+        }
         Some("serve-check") => {
             let Some(addr) = args.next() else {
                 eprintln!("usage: cachetime-bench serve-check <host:port>[,<host:port>...]");
@@ -1920,7 +1929,7 @@ fn main() {
             run_bench_diff(threshold);
         }
         _ => {
-            eprintln!("usage: cachetime-bench <sweep|serve> [scale] | serve-check <host:port> | ingest-check <host:port> | fleet-drill <addrs> <phase> [ix] | serve-chaos <host:port> [seed] | bench-diff [threshold]");
+            eprintln!("usage: cachetime-bench <sweep|serve> [scale] | ablation | serve-check <host:port> | ingest-check <host:port> | fleet-drill <addrs> <phase> [ix] | serve-chaos <host:port> [seed] | bench-diff [threshold]");
             eprintln!();
             eprintln!("  sweep        time a speed/size grid: direct per-cell simulation vs");
             eprintln!("               the two-phase record/replay pipeline (serial and");
@@ -1929,6 +1938,8 @@ fn main() {
             eprintln!("               store-hit replays over the 11x16 grid plus an");
             eprintln!("               overload storm past the admission limit, write");
             eprintln!("               BENCH_serve.json");
+            eprintln!("  ablation     print the model ablations: the ns/ref delta of toggling");
+            eprintln!("               one modeling decision (write buffer, replacement, ...)");
             eprintln!("  serve-check  smoke-test a running ctserve: simulate + replay must");
             eprintln!("               be bit-identical to an in-process Simulator::run;");
             eprintln!("               a comma-separated address list checks a whole");

@@ -41,8 +41,9 @@
 use crate::hierarchy::Downstream;
 use crate::result::{CoupletHistogram, SimResult};
 use crate::stream::{LoneReadMiss, Op, OpReader, OpWriter, Ops, Shape};
-use crate::system::{FillPolicy, OrgConfig, SystemConfig};
+use crate::system::{FillPolicy, LevelTwoConfig, OrgConfig, SystemConfig, TimingConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
+use cachetime_mem::MemoryCycles;
 use cachetime_mmu::{Mmu, MmuStats};
 use cachetime_trace::Trace;
 use cachetime_types::{
@@ -461,9 +462,12 @@ pub fn replay(events: &EventTrace, config: &SystemConfig) -> Result<SimResult, C
 /// Equivalent to calling [`replay`] once per configuration, but the ops —
 /// the bulk of the working set for a long trace — stream through the
 /// cache hierarchy once instead of once per timing point, which is where
-/// most of a repricing sweep's wall time goes. Each configuration gets its
-/// own independent downstream machine, so results are bit-identical to
-/// the one-at-a-time path.
+/// most of a repricing sweep's wall time goes. Configurations whose memory
+/// delays quantize to the same cycle counts, and that agree on every other
+/// timing parameter, differ only in `cycle_time` and share one replay: the
+/// paper's 16-point cycle-time axis prices on 9 machines. Every other
+/// configuration gets its own independent downstream machine, so results
+/// are bit-identical to the one-at-a-time path.
 ///
 /// # Errors
 ///
@@ -483,11 +487,32 @@ pub fn replay_many(
     let obs = cachetime_obs::global();
     let mut span = obs.span("core_replay");
     span.set_work(events.refs * configs.len() as u64);
+    // `machine_of[k]` is the replayer pricing `configs[k]`. A single
+    // config has nothing to share and skips the grouping.
+    let mut rs: Vec<Replayer> = Vec::with_capacity(configs.len());
+    let mut machine_of = Vec::new();
+    if let [config] = configs {
+        rs.push(Replayer::new(config));
+    } else {
+        let mut machines: Vec<Machine> = Vec::with_capacity(configs.len());
+        machine_of = configs
+            .iter()
+            .map(|config| {
+                let m = Machine::of(config);
+                machines.iter().position(|x| *x == m).unwrap_or_else(|| {
+                    machines.push(m);
+                    rs.push(Replayer::new(config));
+                    rs.len() - 1
+                })
+            })
+            .collect();
+    }
     obs.counter("cachetime_replay_refs_total", &[])
         .add(events.refs * configs.len() as u64);
     obs.counter("cachetime_replay_configs_total", &[])
         .add(configs.len() as u64);
-    let mut rs: Vec<Replayer> = configs.iter().map(Replayer::new).collect();
+    obs.counter("cachetime_replay_machines_total", &[])
+        .add(rs.len() as u64);
     // On the sweeps this call exists for, only the *memory* quantization
     // varies between configs — cache hits cost processor cycles, so every
     // replayer prices a hit run identically. Resolve the per-class costs
@@ -563,11 +588,65 @@ pub fn replay_many(
             }
         }
     }
-    Ok(rs
+    Ok(configs
         .iter()
-        .zip(configs)
-        .map(|(r, config)| r.result(events, config))
+        .enumerate()
+        .map(|(k, config)| rs[machine_of.get(k).copied().unwrap_or(k)].result(events, config))
         .collect())
+}
+
+/// The cycle-count machine a configuration replays as: its timing half
+/// with the clock set aside, plus the memory delays quantized under that
+/// clock.
+///
+/// `cycle_time` reaches replay only through `MemoryTiming::new` (which
+/// `Downstream::new` calls via `MemorySystem::new`); every other timing
+/// parameter is already in cycles. So configurations with equal machines
+/// replay to results that differ only in [`SimResult::cycle_time`], which
+/// [`Replayer::result`] fills in per configuration. The memory
+/// configuration stays in the signature (inside [`MemoryCycles`]), so two
+/// different memories never merge.
+#[derive(Debug, PartialEq, Eq)]
+struct Machine {
+    l2: Option<LevelTwoConfig>,
+    l3: Option<LevelTwoConfig>,
+    memory: MemoryCycles,
+    read_hit_cycles: u64,
+    write_hit_cycles: u64,
+    dual_issue: bool,
+    fill_policy: FillPolicy,
+    way_slow_hit_cycles: u64,
+    victim_swap_cycles: u64,
+}
+
+impl Machine {
+    fn of(config: &SystemConfig) -> Self {
+        // Exhaustive on purpose: a new timing parameter does not compile
+        // here until it has a place in the signature.
+        let TimingConfig {
+            cycle_time,
+            l2,
+            l3,
+            memory,
+            read_hit_cycles,
+            write_hit_cycles,
+            dual_issue,
+            fill_policy,
+            way_slow_hit_cycles,
+            victim_swap_cycles,
+        } = config.timing();
+        Machine {
+            l2,
+            l3,
+            memory: MemoryCycles::new(&memory, cycle_time),
+            read_hit_cycles,
+            write_hit_cycles,
+            dual_issue,
+            fill_policy,
+            way_slow_hit_cycles,
+            victim_swap_cycles,
+        }
+    }
 }
 
 /// Convenience: Phase A + Phase B in one call. Equivalent to
@@ -907,6 +986,42 @@ mod tests {
             let repriced = replay(&events, &config).unwrap();
             assert_eq!(repriced, direct, "cycle time {ct}ns");
         }
+    }
+
+    #[test]
+    fn the_paper_cycle_time_axis_prices_on_nine_machines() {
+        let paper_memory = cachetime_mem::MemoryConfig::paper_default();
+        let mut machines: Vec<Machine> = Vec::new();
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        for ns in (20..=80).step_by(4) {
+            let config = SystemConfig::builder()
+                .cycle_time(cachetime_types::CycleTime::from_ns(ns).unwrap())
+                .memory(paper_memory)
+                .build()
+                .unwrap();
+            let m = Machine::of(&config);
+            match machines.iter().position(|x| *x == m) {
+                Some(g) => groups[g].push(ns),
+                None => {
+                    machines.push(m);
+                    groups.push(vec![ns]);
+                }
+            }
+        }
+        // 16 cycle times, 9 machines: 40≡44 and 52≡56 ns round every
+        // memory delay alike, and so do 60 through 80 ns.
+        let expected: Vec<Vec<u32>> = vec![
+            vec![20],
+            vec![24],
+            vec![28],
+            vec![32],
+            vec![36],
+            vec![40, 44],
+            vec![48],
+            vec![52, 56],
+            vec![60, 64, 68, 72, 76, 80],
+        ];
+        assert_eq!(groups, expected);
     }
 
     #[test]

@@ -39,5 +39,5 @@ mod write_buffer;
 pub use config::{MemoryConfig, MemoryConfigBuilder, TransferRate};
 pub use stats::MemStats;
 pub use system::{FillGrant, FillRequest, MemorySystem};
-pub use timing::MemoryTiming;
+pub use timing::{MemoryCycles, MemoryTiming};
 pub use write_buffer::{WbEntry, WbPayload, WriteBuffer};

@@ -11,12 +11,36 @@ use cachetime_types::CycleTime;
 /// of its 56 ns anomaly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryTiming {
-    config: MemoryConfig,
+    cycles: MemoryCycles,
     cycle_time: CycleTime,
+    transfer: TransferCycles,
+}
+
+/// Everything a [`MemoryTiming`] prices with, in cycles: the memory
+/// configuration plus the three delays [`MemoryTiming::new`] quantizes.
+///
+/// The cycle time is deliberately absent. Two cycle times that quantize
+/// every delay alike (40 and 44 ns under the paper's memory, or 60 through
+/// 80 ns) yield equal `MemoryCycles` and time every memory operation
+/// identically, so a caller can price them on one machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoryCycles {
+    config: MemoryConfig,
     latency_cycles: u64,
     write_op_cycles: u64,
     recovery_cycles: u64,
-    transfer: TransferCycles,
+}
+
+impl MemoryCycles {
+    /// Quantizes `config`'s delays under `cycle_time` (rounding up).
+    pub const fn new(config: &MemoryConfig, cycle_time: CycleTime) -> Self {
+        MemoryCycles {
+            config: *config,
+            latency_cycles: cycle_time.cycles_for(config.read_op().0),
+            write_op_cycles: cycle_time.cycles_for(config.write_op().0),
+            recovery_cycles: cycle_time.cycles_for(config.recovery().0),
+        }
+    }
 }
 
 /// Division-free [`TransferRate::cycles_for_words`]: the backplane rate is
@@ -35,6 +59,9 @@ enum TransferCycles {
 
 impl MemoryTiming {
     /// Binds a memory configuration to a cycle time.
+    ///
+    /// The cycle time enters the arithmetic only through [`MemoryCycles`];
+    /// everything else below is a function of the configuration.
     pub fn new(config: &MemoryConfig, cycle_time: CycleTime) -> Self {
         let transfer = match config.transfer() {
             crate::TransferRate::WordsPerCycle(n) if n.is_power_of_two() => {
@@ -47,18 +74,15 @@ impl MemoryTiming {
             crate::TransferRate::CyclesPerWord(c) => TransferCycles::Mul { c },
         };
         MemoryTiming {
-            config: *config,
+            cycles: MemoryCycles::new(config, cycle_time),
             cycle_time,
-            latency_cycles: cycle_time.cycles_for(config.read_op().0),
-            write_op_cycles: cycle_time.cycles_for(config.write_op().0),
-            recovery_cycles: cycle_time.cycles_for(config.recovery().0),
             transfer,
         }
     }
 
     /// Returns the underlying configuration.
     pub const fn config(&self) -> &MemoryConfig {
-        &self.config
+        &self.cycles.config
     }
 
     /// Returns the bound cycle time.
@@ -69,17 +93,17 @@ impl MemoryTiming {
     /// The quantized DRAM read latency in cycles — `la` in the paper's
     /// `la × tr` memory-speed product (excludes the address cycle).
     pub const fn latency_cycles(&self) -> u64 {
-        self.latency_cycles
+        self.cycles.latency_cycles
     }
 
     /// The quantized write-operation time in cycles.
     pub const fn write_op_cycles(&self) -> u64 {
-        self.write_op_cycles
+        self.cycles.write_op_cycles
     }
 
     /// The quantized recovery time in cycles (Table 2, "Recovery time").
     pub const fn recovery_cycles(&self) -> u64 {
-        self.recovery_cycles
+        self.cycles.recovery_cycles
     }
 
     /// Cycles to transfer `words` words over the backplane.
@@ -95,27 +119,27 @@ impl MemoryTiming {
     /// Total cycles for a read of `words` words: address + latency +
     /// transfer (Table 2, "Read Time", with the default 4-word block).
     pub const fn read_time(&self, words: u32) -> u64 {
-        self.config.addr_cycles() + self.latency_cycles + self.transfer_cycles(words)
+        self.config().addr_cycles() + self.latency_cycles() + self.transfer_cycles(words)
     }
 
     /// Total cycles a write of `words` words occupies the memory before
     /// recovery: address + transfer + write operation (Table 2, "Write
     /// Time").
     pub const fn write_time(&self, words: u32) -> u64 {
-        self.config.addr_cycles() + self.transfer_cycles(words) + self.write_op_cycles
+        self.config().addr_cycles() + self.transfer_cycles(words) + self.write_op_cycles()
     }
 
     /// Cycles a write occupies the *bus* (after which the cache proceeds
     /// while the memory completes the write internally).
     pub const fn write_bus_time(&self, words: u32) -> u64 {
-        self.config.addr_cycles() + self.transfer_cycles(words)
+        self.config().addr_cycles() + self.transfer_cycles(words)
     }
 
     /// The paper's memory-speed product `la × tr` (latency in cycles times
     /// transfer rate in words per cycle), which section 5 shows is the sole
     /// determinant of the optimal block size.
     pub fn memory_speed_product(&self) -> f64 {
-        self.latency_cycles as f64 * self.config.transfer().words_per_cycle()
+        self.latency_cycles() as f64 * self.config().transfer().words_per_cycle()
     }
 }
 
@@ -181,6 +205,36 @@ mod tests {
             let now = at(ns);
             assert!(now <= prev, "read cycles must not increase with cycle time");
             prev = now;
+        }
+    }
+
+    #[test]
+    fn equal_cycles_time_every_operation_alike() {
+        // The cycle time reaches the arithmetic only through
+        // `MemoryCycles`: two timings with equal cycles agree on every
+        // duration, whatever their clocks.
+        for transfer in [
+            crate::TransferRate::WordsPerCycle(1),
+            crate::TransferRate::WordsPerCycle(3),
+            crate::TransferRate::CyclesPerWord(2),
+        ] {
+            let config = MemoryConfig::builder().transfer(transfer).build().unwrap();
+            for a in 20..=80 {
+                for b in a..=80 {
+                    let ta = MemoryTiming::new(&config, CycleTime::from_ns(a).unwrap());
+                    let tb = MemoryTiming::new(&config, CycleTime::from_ns(b).unwrap());
+                    if ta.cycles != tb.cycles {
+                        continue;
+                    }
+                    for words in [1, 4, 16] {
+                        assert_eq!(ta.read_time(words), tb.read_time(words));
+                        assert_eq!(ta.write_time(words), tb.write_time(words));
+                        assert_eq!(ta.write_bus_time(words), tb.write_bus_time(words));
+                        assert_eq!(ta.transfer_cycles(words), tb.transfer_cycles(words));
+                    }
+                    assert_eq!(ta.recovery_cycles(), tb.recovery_cycles());
+                }
+            }
         }
     }
 

@@ -120,6 +120,8 @@ for family in \
   cachetime_stage_duration_us \
   cachetime_record_refs_total \
   cachetime_replay_refs_total \
+  cachetime_replay_configs_total \
+  cachetime_replay_machines_total \
   cachetime_span_duration_us \
   cachetime_disk_spills_total \
   cachetime_disk_spill_bytes_total \
