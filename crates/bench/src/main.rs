@@ -126,8 +126,9 @@ impl Measurement {
     }
 }
 
-/// Times the pre-refactor path: one full simulation per grid cell, each
-/// machine built from its per-cache size and cycle time.
+/// Times direct simulation: one `simulate` per grid cell (a behavioral
+/// pass fused with its replay), each machine built from its per-cache
+/// size and cycle time.
 fn measure_direct(
     cells: &[Cell],
     traces: &[Trace],

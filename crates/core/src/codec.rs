@@ -15,7 +15,7 @@
 //!
 //! * **Round-trip identity**: `decode(encode(t)) == t` for every trace the
 //!   recorder can produce, so a warm restart replays bit-identically to
-//!   [`crate::Simulator::run`]. Pinned by the codec tests.
+//!   the recording it was encoded from. Pinned by the codec tests.
 //! * **Validated decode**: configurations are rebuilt through the public
 //!   builders, so a decoded trace satisfies every invariant a freshly
 //!   recorded one does; a corrupt payload yields [`CodecError`], never a

@@ -1,6 +1,6 @@
-//! The trace-driven timing engine (the *direct*, single-pass path).
+//! Direct simulation: one configured machine run over a trace.
 //!
-//! The engine advances a cycle clock per CPU *couplet* (a paired
+//! The machine advances a cycle clock per CPU *couplet* (a paired
 //! instruction + data reference; "these couplets are issued at the same
 //! time and both must complete before the CPU can proceed"). It never
 //! ticks idle cycles: every component tracks busy-until timestamps, so the
@@ -8,27 +8,16 @@
 //! max/add operations — the property that lets full paper-scale sweeps run
 //! on one core.
 //!
-//! Everything below the first level lives in the shared
-//! [`Downstream`](crate::hierarchy::Downstream) hierarchy, which the
-//! two-phase path ([`crate::replay`]) drives with the exact same calls —
-//! that is what makes repriced grids bit-identical to direct simulation.
-//! This direct path remains the reference implementation (and the oracle
-//! the equivalence tests check the two-phase pipeline against).
+//! A [`Simulator`] is the two-phase engine ([`crate::replay`]) with
+//! nothing stored in between: its behavioral pass hands each op straight
+//! to the one `Replayer` that prices it, so a run holds no op stream and
+//! any length of trace runs in constant memory.
 
-use crate::hierarchy::Downstream;
+use crate::replay::{BehavioralSim, Replayer};
 use crate::result::SimResult;
-use crate::system::{FillPolicy, SystemConfig};
-use cachetime_cache::{Cache, ReadOutcome, WriteOutcome};
-use cachetime_mmu::Mmu;
+use crate::system::SystemConfig;
 use cachetime_trace::Trace;
-use cachetime_types::{Cycles, MemRef, WordAddr};
-
-/// Which first-level cache a reference targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Instruction,
-    Data,
-}
+use cachetime_types::MemRef;
 
 /// The simulator: a configured machine that can be run over traces.
 ///
@@ -38,14 +27,7 @@ enum Side {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SystemConfig,
-    l1i: Cache,
-    l1d: Cache,
-    down: Downstream,
-    mmu: Option<Mmu>,
-    now: u64,
-    couplets: u64,
-    stall_cycles: u64,
-    latency: crate::result::CoupletHistogram,
+    behavioral: BehavioralSim,
 }
 
 impl Simulator {
@@ -53,14 +35,7 @@ impl Simulator {
     pub fn new(config: &SystemConfig) -> Self {
         Simulator {
             config: *config,
-            l1i: Cache::new(*config.l1i()),
-            l1d: Cache::new(*config.l1d()),
-            down: Downstream::new(config),
-            mmu: config.translation().map(|t| Mmu::new(*t)),
-            now: 0,
-            couplets: 0,
-            stall_cycles: 0,
-            latency: crate::result::CoupletHistogram::default(),
+            behavioral: BehavioralSim::new(&config.organization()),
         }
     }
 
@@ -77,8 +52,9 @@ impl Simulator {
     }
 
     /// Streaming variant of [`run`](Self::run): processes references from
-    /// an iterator without materializing them (useful for very large `din`
-    /// files). `warm_start` is the index of the first measured reference.
+    /// an iterator without materializing them, in constant memory (useful
+    /// for very large `din` files). `warm_start` is the index of the first
+    /// measured reference.
     pub fn run_refs(
         &mut self,
         refs: impl IntoIterator<Item = MemRef>,
@@ -86,245 +62,22 @@ impl Simulator {
     ) -> SimResult {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_simulate");
-        *self = Simulator::new(&self.config);
-        let split = self.config.is_split();
-        let mut refs = refs.into_iter().peekable();
-
-        let mut i = 0usize;
-        let mut warm_cycle = 0u64;
-        let mut warm_couplets = 0u64;
-        let mut warmed = warm_start == 0;
-        while let Some(a) = refs.next() {
-            if !warmed && i >= warm_start {
-                warmed = true;
-                warm_cycle = self.now;
-                warm_couplets = self.couplets;
-                self.reset_stats();
-            }
-            // Pair an ifetch with the immediately following data reference
-            // of the same process — "instruction and data references in
-            // the trace paired up without reordering any of the
-            // references".
-            let pairable = split
-                && a.kind == cachetime_types::AccessKind::IFetch
-                && refs
-                    .peek()
-                    .is_some_and(|d| d.kind.is_data() && d.pid == a.pid);
-            if pairable {
-                let d = refs.next().expect("peeked");
-                self.step_couplet(Some(a), Some(d));
-                i += 2;
-            } else if a.kind.is_data() {
-                self.step_couplet(None, Some(a));
-                i += 1;
-            } else {
-                self.step_couplet(Some(a), None);
-                i += 1;
-            }
-        }
-
-        span.set_work(i as u64);
-        obs.counter("cachetime_simulate_refs_total", &[]).add(i as u64);
-        SimResult {
-            cycle_time: self.config.cycle_time(),
-            cycles: Cycles(self.now - warm_cycle),
-            refs: (i - warm_start.min(i)) as u64,
-            couplets: self.couplets - warm_couplets,
-            l1i: *self.l1i.stats(),
-            l1d: *self.l1d.stats(),
-            l2: self.down.l2_stats(),
-            l3: self.down.l3_stats(),
-            mem: *self.down.mem_stats(),
-            mmu: self.mmu.as_ref().map(|m| *m.stats()),
-            latency: self.latency,
-            stall_cycles: Cycles(self.stall_cycles),
-        }
+        let mut timing = Replayer::new(&self.config);
+        let (seen, behavior) = self
+            .behavioral
+            .drive(refs, warm_start, |op| timing.step(op));
+        span.set_work(seen as u64);
+        obs.counter("cachetime_simulate_refs_total", &[])
+            .add(seen as u64);
+        timing.result(&behavior, &self.config)
     }
-
-    fn reset_stats(&mut self) {
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
-        self.down.reset_stats();
-        if let Some(mmu) = &mut self.mmu {
-            mmu.reset_stats();
-        }
-        self.latency = crate::result::CoupletHistogram::default();
-        self.stall_cycles = 0;
-    }
-
-    /// Runs a reference through the MMU if the hierarchy is physically
-    /// addressed: returns the (possibly translated) address and the cycles
-    /// the translation added (a TLB miss costs the walk penalty).
-    fn translate(&mut self, r: MemRef) -> (MemRef, u64) {
-        match &mut self.mmu {
-            None => (r, 0),
-            Some(mmu) => {
-                let (phys, hit) = mmu.translate(r.addr, r.pid);
-                let penalty = if hit { 0 } else { mmu.miss_penalty() };
-                (MemRef::new(phys, r.kind, r.pid), penalty)
-            }
-        }
-    }
-
-    /// Issues one couplet at the current cycle; both halves must complete
-    /// before the clock advances.
-    fn step_couplet(&mut self, iref: Option<MemRef>, dref: Option<MemRef>) {
-        let now = self.now;
-        let mut done = now;
-        // The couplet's cost on an ideal (always-hitting, walk-free)
-        // machine, for the stall-cycle decomposition.
-        let mut ideal = 0u64;
-        if let Some(r) = iref {
-            let (r, walk) = self.translate(r);
-            let side = if self.config.is_split() {
-                Side::Instruction
-            } else {
-                Side::Data
-            };
-            ideal = ideal.max(self.config.read_hit_cycles());
-            done = done.max(self.do_read(side, r, now + walk));
-        }
-        if let Some(r) = dref {
-            // A single-issue CPU starts the data reference only after the
-            // instruction fetch completes.
-            let issue = if self.config.dual_issue() { now } else { done };
-            let (r, walk) = self.translate(r);
-            let (c, this_ideal) = if r.kind == cachetime_types::AccessKind::Store {
-                (
-                    self.do_write(r, issue + walk),
-                    self.config.write_hit_cycles(),
-                )
-            } else {
-                (
-                    self.do_read(Side::Data, r, issue + walk),
-                    self.config.read_hit_cycles(),
-                )
-            };
-            ideal = if self.config.dual_issue() {
-                ideal.max(this_ideal)
-            } else {
-                ideal + this_ideal
-            };
-            done = done.max(c);
-        }
-        debug_assert!(done > now, "a couplet must consume at least one cycle");
-        self.latency.record(done - now);
-        self.stall_cycles += (done - now).saturating_sub(ideal);
-        self.now = done;
-        self.couplets += 1;
-    }
-
-    /// A load or instruction fetch; returns its completion cycle.
-    fn do_read(&mut self, side: Side, r: MemRef, now: u64) -> u64 {
-        let (outcome, block_words, fetch_words) = {
-            let cache = match side {
-                Side::Instruction => &mut self.l1i,
-                Side::Data => &mut self.l1d,
-            };
-            (
-                cache.read(r.addr, r.pid),
-                cache.config().block().words(),
-                cache.config().fetch().words(),
-            )
-        };
-        match outcome {
-            ReadOutcome::Hit => now + self.config.read_hit_cycles(),
-            ReadOutcome::SlowHit => {
-                // A second probe round finds the block in another way.
-                now + self.config.read_hit_cycles() + self.config.way_slow_hit_cycles()
-            }
-            ReadOutcome::VictimHit => {
-                // The block swaps back from the victim buffer; nothing
-                // goes downstream.
-                now + self.config.read_hit_cycles() + self.config.victim_swap_cycles()
-            }
-            ReadOutcome::Miss { fill_words, victim } => {
-                let fetch_start = WordAddr::new(r.addr.value() & !(fetch_words as u64 - 1));
-                let victim = victim.map(|ev| (ev.addr.first_word(block_words), ev.words));
-                // The miss is detected during the probe cycle; the fill
-                // request goes downstream the cycle after.
-                let grant = self
-                    .down
-                    .fill_l1(now + 1, r.pid, fetch_start, fill_words, victim);
-                let completion = match self.config.fill_policy() {
-                    FillPolicy::WaitWholeBlock => grant.done,
-                    FillPolicy::EarlyContinuation => {
-                        // Resume when the requested word arrives; the
-                        // fetch still starts at the region's first word.
-                        let offset = (r.addr.value() - fetch_start.value()) as u32;
-                        grant.ready + self.down.upstream_transfer_cycles(offset + 1)
-                    }
-                    FillPolicy::LoadForward => {
-                        // Wrap-around fill: the requested word comes first.
-                        grant.ready + self.down.upstream_transfer_cycles(1)
-                    }
-                };
-                completion.clamp(now + 1, grant.done)
-            }
-        }
-    }
-
-    /// A store; returns its completion cycle.
-    fn do_write(&mut self, r: MemRef, now: u64) -> u64 {
-        let whc = self.config.write_hit_cycles();
-        let (outcome, block_words) = (
-            self.l1d.write(r.addr, r.pid),
-            self.l1d.config().block().words(),
-        );
-        match outcome {
-            WriteOutcome::Hit { through } => {
-                let mut done = now + whc;
-                if through {
-                    let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
-                    done = done.max(accepted + 1);
-                }
-                done
-            }
-            WriteOutcome::VictimHit { through } => {
-                // Swap the block back from the victim buffer, then write
-                // into it as a hit.
-                let mut done = now + whc + self.config.victim_swap_cycles();
-                if through {
-                    let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
-                    done = done.max(accepted + 1);
-                }
-                done
-            }
-            WriteOutcome::MissNoAllocate => {
-                // The word goes around the cache into the write buffer.
-                let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
-                (now + whc).max(accepted + 1)
-            }
-            WriteOutcome::MissAllocate {
-                fill_words,
-                victim,
-                through,
-            } => {
-                let fetch_start = WordAddr::new(r.addr.value() & !(fill_words as u64 - 1));
-                let victim = victim.map(|ev| (ev.addr.first_word(block_words), ev.words));
-                let filled = self
-                    .down
-                    .fill_l1(now + 1, r.pid, fetch_start, fill_words, victim)
-                    .done;
-                let mut done = filled + 1; // the write itself
-                if through {
-                    let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
-                    done = done.max(accepted + 1);
-                }
-                done
-            }
-        }
-    }
-
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemConfig;
     use cachetime_cache::CacheConfig;
-    use cachetime_trace::Trace;
-    use cachetime_types::{CacheSize, Pid};
+    use cachetime_types::{CacheSize, Pid, WordAddr};
 
     fn trace_of(refs: Vec<MemRef>) -> Trace {
         Trace::new("t", refs, 0)

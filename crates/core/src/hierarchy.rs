@@ -1,13 +1,12 @@
 //! Everything below the first-level caches: mid-level caches with their
 //! write buffers and ports, and main memory.
 //!
-//! This is the *timing* half of the machine, factored out so that the
-//! direct engine ([`Simulator`](crate::Simulator)) and the event-trace
-//! replayer ([`replay`](crate::replay)) drive bit-for-bit the same
-//! accounting. Both present the same inputs — fill requests and downstream
-//! word writes stamped with the current cycle — and both receive the same
-//! busy-until timestamps back, so a repriced run cannot drift from a
-//! direct one.
+//! This is the *timing* half of the machine below the first level. Its one
+//! driver is the replayer ([`crate::replay`]), which presents fill
+//! requests and downstream word writes stamped with the current cycle and
+//! gets busy-until timestamps back — whether the ops it prices come off a
+//! stored event trace or straight from a [`Simulator`](crate::Simulator)'s
+//! behavioral pass.
 
 use crate::system::{LevelTwoConfig, SystemConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};

@@ -73,8 +73,9 @@ use cachetime_trace::Trace;
 /// Runs `trace` through a fresh simulator built from `config`.
 ///
 /// Statistics cover only the post-warm-start window (the paper's
-/// "warm start runs"). For repeated runs over the same configuration,
-/// construct a [`Simulator`] directly.
+/// "warm start runs"). To price one organization at many timing points,
+/// record it once with [`BehavioralSim`] and [`replay_many`] the events:
+/// `simulate` runs the whole behavioral pass again every call.
 ///
 /// # Examples
 ///

@@ -15,10 +15,16 @@
 //!   into counters, so the trace length is proportional to the *miss and
 //!   store-downstream traffic*, not the reference count.
 //! * **Phase B** ([`replay`]): walk the events under a concrete
-//!   [`SystemConfig`], driving the exact same downstream hierarchy
-//!   (write buffers, mid-level caches, main memory) the direct engine
-//!   uses. The result is bit-identical to [`Simulator::run`] — asserted
-//!   in-tree by the equivalence and property tests.
+//!   [`SystemConfig`] through one `Replayer` per distinct machine: the
+//!   clock plus everything below the first level (write buffers,
+//!   mid-level caches, main memory).
+//!
+//! This is the only pricing engine. [`Simulator`](crate::Simulator) runs
+//! the same behavioral pass but hands each op straight to a live
+//! `Replayer` instead of storing it, so direct simulation and repricing a
+//! stored trace agree by construction. Timing itself is checked against
+//! an independent cycle-stepping oracle (`tests/reference_engine.rs`) and
+//! pinned golden results (`crates/core/tests/golden_results.rs`).
 //!
 //! ```
 //! use cachetime::{replay, simulate, BehavioralSim, SystemConfig};
@@ -66,6 +72,13 @@ pub struct EventTrace {
     /// the same bytes the codec carries, exactly sized.
     ops: Box<[u8]>,
     op_count: usize,
+    behavior: Behavior,
+}
+
+/// What a behavioral pass counted besides its ops: the statistics no
+/// replay can change.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Behavior {
     /// References in the measured (post-warm-start) window.
     refs: u64,
     /// Total couplets over the whole trace.
@@ -94,22 +107,22 @@ impl EventTrace {
 
     /// References in the measured window.
     pub fn refs(&self) -> u64 {
-        self.refs
+        self.behavior.refs
     }
 
     /// Total couplets over the whole trace (warm-up included).
     pub fn couplets(&self) -> u64 {
-        self.couplets
+        self.behavior.couplets
     }
 
     /// First-level instruction-cache statistics of the measured window.
     pub fn l1i_stats(&self) -> &CacheStats {
-        &self.l1i
+        &self.behavior.l1i
     }
 
     /// First-level data-cache statistics of the measured window.
     pub fn l1d_stats(&self) -> &CacheStats {
-        &self.l1d
+        &self.behavior.l1d
     }
 
     /// Size of this trace in bytes: the struct plus the op stream, its one
@@ -124,17 +137,17 @@ impl EventTrace {
     /// couplet (1.0 = nothing collapsed; paper-like hit ratios give a few
     /// percent).
     pub fn ops_per_couplet(&self) -> f64 {
-        if self.couplets == 0 {
+        if self.behavior.couplets == 0 {
             0.0
         } else {
-            self.op_count as f64 / self.couplets as f64
+            self.op_count as f64 / self.behavior.couplets as f64
         }
     }
 
     /// MMU statistics of the measured window, if the organization has a
     /// translation layer.
     pub fn mmu_stats(&self) -> Option<&MmuStats> {
-        self.mmu.as_ref()
+        self.behavior.mmu.as_ref()
     }
 
     /// Reassembles a trace from its decoded parts ([`crate::codec`] only).
@@ -158,11 +171,13 @@ impl EventTrace {
             org,
             ops,
             op_count,
-            refs,
-            couplets,
-            l1i,
-            l1d,
-            mmu,
+            behavior: Behavior {
+                refs,
+                couplets,
+                l1i,
+                l1d,
+                mmu,
+            },
         }
     }
 }
@@ -170,8 +185,7 @@ impl EventTrace {
 /// Phase A: the timing-free behavioral simulator.
 ///
 /// Runs the first-level caches and the (optional) MMU over a trace in
-/// couplet order — the same state machines, touched in the same order, as
-/// the direct engine — and records what happened instead of when.
+/// couplet order and records what happened instead of when.
 #[derive(Debug, Clone)]
 pub struct BehavioralSim {
     org: OrgConfig,
@@ -212,42 +226,79 @@ impl BehavioralSim {
     ) -> EventTrace {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_record");
+        let refs = refs.into_iter();
+        // Hit runs collapse most couplets and an op takes a few bytes, so
+        // the stream lands well under one byte per two references on
+        // realistic traces; start there to keep the push path off the
+        // reallocation slow path.
+        let mut ops = OpWriter::new(Shape::of(&self.org), refs.size_hint().0 / 2);
+        let (seen, behavior) = self.drive(refs, warm_start, |op| ops.push(op));
+
+        // Phase accounting: the span's duration histogram plus raw
+        // totals give events/sec without touching the record hot loop
+        // (one lookup + a few atomic adds per *call*, not per ref).
+        span.set_work(seen as u64);
+        obs.counter("cachetime_record_refs_total", &[])
+            .add(seen as u64);
+        obs.counter("cachetime_record_ops_total", &[])
+            .add(ops.len() as u64);
+
+        let (ops, op_count) = ops.finish();
+        EventTrace {
+            org: self.org,
+            ops,
+            op_count,
+            behavior,
+        }
+    }
+
+    /// The behavioral pass itself: runs `refs` from power-on state through
+    /// the first-level caches and MMU in couplet order and hands each op
+    /// to `sink` as soon as it is complete — to an [`OpWriter`] when
+    /// recording, to a live [`Replayer`] when simulating directly, which
+    /// then never holds more than one op. Returns the references consumed
+    /// and the behavioral statistics.
+    ///
+    /// A machine that has already run is reset first, so repeated passes
+    /// are independent.
+    pub(crate) fn drive(
+        &mut self,
+        refs: impl IntoIterator<Item = MemRef>,
+        warm_start: usize,
+        mut sink: impl FnMut(&EventOp),
+    ) -> (usize, Behavior) {
         // Building the L1 frame arrays is a measurable share of a short
-        // recording (megabytes at the largest sizes), so a fresh machine
-        // is used as is.
+        // pass (megabytes at the largest sizes), so a fresh machine is
+        // used as is.
         if !self.cold {
             *self = BehavioralSim::new(&self.org);
         }
         self.cold = false;
         let split = self.org.is_split();
         let mut refs = refs.into_iter().peekable();
-        // Hit runs collapse most couplets and an op takes a few bytes, so
-        // the stream lands well under one byte per two references on
-        // realistic traces; start there to keep the push path off the
-        // reallocation slow path.
-        let mut ops = OpWriter::new(Shape::of(&self.org), refs.size_hint().0 / 2);
 
         let mut i = 0usize;
         let mut couplets = 0u64;
         let mut warmed = warm_start == 0;
         // The open hit run accumulates in a register-resident array and is
-        // flushed into `ops` only when a non-trivial couplet (or the warm
-        // boundary) ends the stretch — all-hit couplets never touch the
-        // ops vector at all.
+        // handed on only when a non-trivial couplet (or the warm boundary)
+        // ends the stretch — all-hit couplets never reach the sink.
         let mut pending = [0u32; CoupletClass::COUNT];
-        // This loop must mirror `Simulator::run_refs` exactly: same warm
-        // check, same pairing rule, same per-couplet access order.
         while let Some(a) = refs.next() {
             if !warmed && i >= warm_start {
                 warmed = true;
-                Self::flush_hits(&mut ops, &mut pending);
-                ops.push(&EventOp::WarmBoundary);
+                flush_hits(&mut sink, &mut pending);
+                sink(&EventOp::WarmBoundary);
                 self.l1i.reset_stats();
                 self.l1d.reset_stats();
                 if let Some(mmu) = &mut self.mmu {
                     mmu.reset_stats();
                 }
             }
+            // Pair an ifetch with the immediately following data reference
+            // of the same process — "instruction and data references in
+            // the trace paired up without reordering any of the
+            // references".
             let pairable = split
                 && a.kind == cachetime_types::AccessKind::IFetch
                 && refs
@@ -255,53 +306,33 @@ impl BehavioralSim {
                     .is_some_and(|d| d.kind.is_data() && d.pid == a.pid);
             if pairable {
                 let d = refs.next().expect("peeked");
-                self.record_couplet(&mut ops, &mut pending, Some(a), Some(d));
+                self.drive_couplet(&mut sink, &mut pending, Some(a), Some(d));
                 i += 2;
             } else if a.kind.is_data() {
-                self.record_couplet(&mut ops, &mut pending, None, Some(a));
+                self.drive_couplet(&mut sink, &mut pending, None, Some(a));
                 i += 1;
             } else {
-                self.record_couplet(&mut ops, &mut pending, Some(a), None);
+                self.drive_couplet(&mut sink, &mut pending, Some(a), None);
                 i += 1;
             }
             couplets += 1;
         }
-        Self::flush_hits(&mut ops, &mut pending);
-
-        // Phase accounting: the span's duration histogram plus raw
-        // totals give events/sec without touching the record hot loop
-        // (one lookup + a few atomic adds per *call*, not per ref).
-        span.set_work(i as u64);
-        obs.counter("cachetime_record_refs_total", &[]).add(i as u64);
-        obs.counter("cachetime_record_ops_total", &[]).add(ops.len() as u64);
-
-        let (ops, op_count) = ops.finish();
-        EventTrace {
-            org: self.org,
-            ops,
-            op_count,
+        flush_hits(&mut sink, &mut pending);
+        let behavior = Behavior {
             refs: (i - warm_start.min(i)) as u64,
             couplets,
             l1i: *self.l1i.stats(),
             l1d: *self.l1d.stats(),
             mmu: self.mmu.as_ref().map(|m| *m.stats()),
-        }
+        };
+        (i, behavior)
     }
 
-    /// Closes the open hit run, if any, by appending it to `ops`.
-    #[inline]
-    fn flush_hits(ops: &mut OpWriter, pending: &mut [u32; CoupletClass::COUNT]) {
-        if pending.iter().any(|&c| c != 0) {
-            ops.push(&EventOp::HitRun { counts: *pending });
-            *pending = [0u32; CoupletClass::COUNT];
-        }
-    }
-
-    /// Runs one couplet through the behavioral state machines and appends
-    /// the resulting op (extending the open hit run where possible).
-    fn record_couplet(
+    /// Runs one couplet through the behavioral state machines and hands
+    /// on the resulting op (extending the open hit run where possible).
+    fn drive_couplet(
         &mut self,
-        ops: &mut OpWriter,
+        sink: &mut impl FnMut(&EventOp),
         pending: &mut [u32; CoupletClass::COUNT],
         iref: Option<MemRef>,
         dref: Option<MemRef>,
@@ -339,18 +370,20 @@ impl BehavioralSim {
             Some(class) => {
                 let i = class.index();
                 if pending[i] == u32::MAX {
-                    Self::flush_hits(ops, pending);
+                    flush_hits(sink, pending);
                 }
                 pending[i] += 1;
             }
             None => {
-                Self::flush_hits(ops, pending);
-                ops.push(&EventOp::Couplet { iref: ie, dref: de });
+                flush_hits(sink, pending);
+                sink(&EventOp::Couplet { iref: ie, dref: de });
             }
         }
     }
 
-    /// MMU front end: identical to the direct engine's.
+    /// Runs a reference through the MMU if the hierarchy is physically
+    /// addressed: returns the (possibly translated) reference and the
+    /// cycles the translation adds (a TLB miss costs the walk penalty).
     fn translate(&mut self, r: MemRef) -> (MemRef, u64) {
         match &mut self.mmu {
             None => (r, 0),
@@ -404,6 +437,15 @@ impl BehavioralSim {
                 through,
             },
         }
+    }
+}
+
+/// Closes the open hit run, if any, by handing it to `sink`.
+#[inline]
+fn flush_hits(sink: &mut impl FnMut(&EventOp), pending: &mut [u32; CoupletClass::COUNT]) {
+    if pending.iter().any(|&c| c != 0) {
+        sink(&EventOp::HitRun { counts: *pending });
+        *pending = [0u32; CoupletClass::COUNT];
     }
 }
 
@@ -486,7 +528,7 @@ pub fn replay_many(
     }
     let obs = cachetime_obs::global();
     let mut span = obs.span("core_replay");
-    span.set_work(events.refs * configs.len() as u64);
+    span.set_work(events.refs() * configs.len() as u64);
     // `machine_of[k]` is the replayer pricing `configs[k]`. A single
     // config has nothing to share and skips the grouping.
     let mut rs: Vec<Replayer> = Vec::with_capacity(configs.len());
@@ -508,7 +550,7 @@ pub fn replay_many(
             .collect();
     }
     obs.counter("cachetime_replay_refs_total", &[])
-        .add(events.refs * configs.len() as u64);
+        .add(events.refs() * configs.len() as u64);
     obs.counter("cachetime_replay_configs_total", &[])
         .add(configs.len() as u64);
     obs.counter("cachetime_replay_machines_total", &[])
@@ -591,7 +633,9 @@ pub fn replay_many(
     Ok(configs
         .iter()
         .enumerate()
-        .map(|(k, config)| rs[machine_of.get(k).copied().unwrap_or(k)].result(events, config))
+        .map(|(k, config)| {
+            rs[machine_of.get(k).copied().unwrap_or(k)].result(&events.behavior, config)
+        })
         .collect())
 }
 
@@ -658,12 +702,14 @@ pub fn simulate_two_phase(config: &SystemConfig, trace: &Trace) -> SimResult {
     replay(&events, config).expect("organization matches by construction")
 }
 
-/// The replay-side timing state: the clock and everything below L1.
+/// The timing state of one machine: the clock and everything below L1.
+/// It prices ops whether they come off a stored stream ([`replay_many`])
+/// or straight from a behavioral pass ([`Simulator`](crate::Simulator)).
 ///
 /// The timing parameters are copied out of the [`SystemConfig`] once at
 /// construction — replay visits tens of ops per couplet-equivalent of
 /// work, so the hot loop should touch nothing but local state.
-struct Replayer {
+pub(crate) struct Replayer {
     down: Downstream,
     now: u64,
     couplets: u64,
@@ -682,7 +728,7 @@ struct Replayer {
 }
 
 impl Replayer {
-    fn new(config: &SystemConfig) -> Self {
+    pub(crate) fn new(config: &SystemConfig) -> Self {
         let rh = config.read_hit_cycles();
         let wh = config.write_hit_cycles();
         let dual = config.dual_issue();
@@ -725,26 +771,36 @@ impl Replayer {
         }
     }
 
-    /// Assembles the [`SimResult`] of a finished replay.
-    fn result(&self, events: &EventTrace, config: &SystemConfig) -> SimResult {
+    /// Assembles the [`SimResult`] of a finished replay of a pass with
+    /// these behavioral statistics.
+    pub(crate) fn result(&self, behavior: &Behavior, config: &SystemConfig) -> SimResult {
         SimResult {
             cycle_time: config.cycle_time(),
             cycles: Cycles(self.now - self.warm_cycle),
-            refs: events.refs,
+            refs: behavior.refs,
             couplets: self.couplets - self.warm_couplets,
-            l1i: events.l1i,
-            l1d: events.l1d,
+            l1i: behavior.l1i,
+            l1d: behavior.l1d,
             l2: self.down.l2_stats(),
             l3: self.down.l3_stats(),
             mem: *self.down.mem_stats(),
-            mmu: events.mmu,
+            mmu: behavior.mmu,
             latency: self.latency,
             stall_cycles: Cycles(self.stall_cycles),
         }
     }
 
-    /// The warm-start boundary: mirror of the direct engine's
-    /// `reset_stats` (the behavioral counters were reset in Phase A).
+    /// Prices one op as the behavioral pass hands it on.
+    pub(crate) fn step(&mut self, op: &EventOp) {
+        match op {
+            EventOp::HitRun { counts } => self.step_hit_run(counts),
+            EventOp::Couplet { iref, dref } => self.step_couplet(iref.as_ref(), dref.as_ref()),
+            EventOp::WarmBoundary => self.warm_reset(),
+        }
+    }
+
+    /// The warm-start boundary: timing statistics restart here (the
+    /// behavioral counters were reset in Phase A).
     fn warm_reset(&mut self) {
         self.warm_cycle = self.now;
         self.warm_couplets = self.couplets;
@@ -797,9 +853,10 @@ impl Replayer {
         self.couplets += 1;
     }
 
-    /// Reprices one recorded couplet: the timing mirror of the direct
-    /// engine's `step_couplet`, with cache outcomes read from the events
-    /// instead of the cache.
+    /// Prices one couplet from its recorded cache outcomes. Both halves
+    /// issue at once on a dual-issue CPU; a single-issue one starts the
+    /// data half when the fetch completes. The couplet ends when both
+    /// halves have.
     fn step_couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
         let now = self.now;
         let mut done = now;

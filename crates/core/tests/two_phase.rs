@@ -1,9 +1,15 @@
-//! Equivalence cross-check: the two-phase pipeline (behavioral record +
-//! timing replay) must produce `SimResult`s bit-identical to the direct
-//! single-pass engine on every cell of down-scaled paper grids, and on a
+//! Equivalence cross-check: repricing a stored event trace (behavioral
+//! record, then timing replay) must produce `SimResult`s bit-identical to
+//! direct simulation on every cell of down-scaled paper grids, and on a
 //! battery of targeted machine variants.
 //!
-//! The direct path stays callable on purpose — it is the oracle here.
+//! Direct simulation runs the same behavioral pass and hands each op
+//! straight to the same replayer, so these tests pin what lies between:
+//! the stored op stream, its hit-run collapsing, replay's lone-miss fast
+//! path and `replay_many`'s sharing of one replayer among tied configs.
+//! They do not check the timing model itself; the cycle-stepping oracle
+//! (`tests/reference_engine.rs`) and the golden results
+//! (`golden_results.rs`) do.
 
 use cachetime::{
     replay, simulate, simulate_two_phase, BehavioralSim, FillPolicy, LevelTwoConfig, SystemConfig,

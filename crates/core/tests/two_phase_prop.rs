@@ -1,5 +1,12 @@
-//! Property test: for *any* valid machine and any small trace, the
-//! two-phase pipeline is bit-identical to the direct engine.
+//! Property test: for *any* valid machine and any small trace, repricing
+//! a stored event trace is bit-identical to direct simulation.
+//!
+//! Both sides price through the same replayer — direct simulation feeds it
+//! each op as the behavioral pass produces it — so the property pins the
+//! stored op stream and `replay_many`'s grouping of configs onto shared
+//! machines. The timing model is checked by the cycle-stepping oracle
+//! (`tests/reference_engine.rs`) and the golden results
+//! (`golden_results.rs`).
 //!
 //! Runs on the hermetic testkit runner: failures shrink to a minimal
 //! (config, trace) pair and print a replay seed; rerun a specific case

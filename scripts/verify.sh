@@ -7,10 +7,12 @@
 # 2. Full test suite (unit + property + integration).
 # 3. Offline-build guard: the workspace must build with no registry
 #    access at all (zero external dependencies is a hard invariant).
-# 4. Two-phase equivalence cross-check: direct simulation vs the
-#    record/replay pipeline must be bit-identical per grid cell. Then the
-#    `#[ignore]`d calibration tests (the paper's bands, shapes and
-#    crossovers), which are only fast enough in release.
+# 4. Timing checks in release: direct simulation vs stored record/replay
+#    must be bit-identical per grid cell (the op stream between them), the
+#    engine must agree with the cycle-stepping oracle on every first-level
+#    timing knob, and the mid-level machines must reproduce their golden
+#    results. Then the `#[ignore]`d calibration tests (the paper's bands,
+#    shapes and crossovers), which are only fast enough in release.
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -72,8 +74,9 @@ cargo test --workspace -q
 echo "==> cargo build --offline --workspace (zero-dependency guard)"
 cargo build --offline --workspace
 
-echo "==> two-phase equivalence cross-check (direct vs record/replay)"
-cargo test --release -q -p cachetime --test two_phase --test two_phase_prop
+echo "==> timing checks (direct vs stored record/replay; cycle-stepping oracle; golden mid-level results)"
+cargo test --release -q -p cachetime --test two_phase --test two_phase_prop \
+  --test reference_engine --test golden_results
 
 echo "==> calibration bands, shapes and crossovers (the ignored release-only tests)"
 cargo test --release -q -p cachetime --test calibration -- --ignored
